@@ -541,7 +541,31 @@ let e8 () =
         (ms *. 1000.) !checks
         (if !agree then "yes" else "NO"))
     formulas;
-  Texttab.print t
+  Texttab.print t;
+  (* A real pattern as the tag alphabet grows: every table the compiler
+     builds has one column per letter of Sigma x {0,1}^K. *)
+  let doc = Biblio_xml.generate (Prng.create 60) ~articles:60 () in
+  let tags = Encode.abstract_alphabet doc in
+  let t2 = Texttab.create [ "extra tags"; "tags"; "states"; "compile ms" ] in
+  List.iter
+    (fun extra ->
+      let alphabet = tags @ List.init extra (Printf.sprintf "x%d") in
+      let runs =
+        List.init 3 (fun _ ->
+            secs (fun () -> Pattern.compile Biblio_xml.pattern ~alphabet))
+      in
+      let ms = 1000. *. List.nth (List.sort compare (List.map snd runs)) 1 in
+      Texttab.addf t2 "%d|%d|%d|%.1f" extra (List.length alphabet)
+        (Dta.nstates (Tree_query.automaton (fst (List.hd runs))))
+        ms;
+      record_scalars ~experiment:"e8"
+        [ (Printf.sprintf "biblio_compile_ms_extra%d" extra, Json.Float ms) ])
+    [ 0; 8; 16 ];
+  Texttab.print
+    ~title:
+      (Printf.sprintf "Pattern.compile %s, median of 3"
+         (Pattern.to_string Biblio_xml.pattern))
+    t2
 
 (* ------------------------------------------------------------------ *)
 (* E9 — Example 4 at scale: XML watermarking. *)

@@ -921,11 +921,11 @@ let load_xml path =
     (fun () -> Utree.of_xml (Xml.parse (really_input_string ic (in_channel_length ic))))
 
 let xml_mark_cmd =
-  let run file pattern message bits seed block out =
+  let run file pattern message bits block out =
     handle @@ fun () ->
     let doc = load_xml file in
     let p = Pattern.parse pattern in
-    let options = { Tree_scheme.default_options with seed; block_size = block } in
+    let options = { Tree_scheme.default_options with block_size = block } in
     match Pipeline.prepare_xml ~options doc p with
     | Error e -> failwith e
     | Ok xs ->
@@ -942,15 +942,15 @@ let xml_mark_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"DOC") in
   Cmd.v
     (Cmd.info "xml-mark" ~doc:"Embed a message into an XML document.")
-    Term.(const run $ file $ pattern_term $ message_term $ bits_term $ seed_term $ block_term $ out_term)
+    Term.(const run $ file $ pattern_term $ message_term $ bits_term $ block_term $ out_term)
 
 let xml_detect_cmd =
-  let run original suspect pattern bits seed block =
+  let run original suspect pattern bits block =
     handle @@ fun () ->
     let doc = load_xml original in
     let sus = load_xml suspect in
     let p = Pattern.parse pattern in
-    let options = { Tree_scheme.default_options with seed; block_size = block } in
+    let options = { Tree_scheme.default_options with block_size = block } in
     match Pipeline.prepare_xml ~options doc p with
     | Error e -> failwith e
     | Ok xs ->
@@ -962,7 +962,7 @@ let xml_detect_cmd =
   let suspect = Arg.(required & pos 1 (some file) None & info [] ~docv:"SUSPECT") in
   Cmd.v
     (Cmd.info "xml-detect" ~doc:"Read a mark back from a suspect XML document.")
-    Term.(const run $ original $ suspect $ pattern_term $ bits_term $ seed_term $ block_term)
+    Term.(const run $ original $ suspect $ pattern_term $ bits_term $ block_term)
 
 (* serve — watermarking as a service over length-prefixed frames.
 

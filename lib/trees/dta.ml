@@ -130,16 +130,95 @@ let run_with_hole_states t tree ~label_of ~hole q =
 let run_with_hole t tree ~label_of ~hole q =
   (run_with_hole_states t tree ~label_of ~hole q).(Btree.root tree)
 
+(* Bottom-up reachability closure over an implicit automaton whose states
+   are [0 .. size-1]: [targets ql qr dst] writes into [dst] the targets of
+   the transitions from [(ql, qr)] under every label ([-1] = [*]).  When a
+   state is processed it is paired both ways with every state processed so
+   far, so each ordered pair is expanded about once.  Returns the marks. *)
+let closure ~size ~nlabels ~targets =
+  let seen = Array.make size false in
+  let order = Array.make size 0 and count = ref 0 in
+  let buf = Array.make nlabels 0 in
+  let expand ql qr =
+    targets ql qr buf;
+    for l = 0 to nlabels - 1 do
+      let q = buf.(l) in
+      if not seen.(q) then begin
+        seen.(q) <- true;
+        order.(!count) <- q;
+        incr count
+      end
+    done
+  in
+  expand (-1) (-1);
+  let processed = ref 0 in
+  while !processed < !count do
+    let s = order.(!processed) in
+    incr processed;
+    expand s (-1);
+    expand (-1) s;
+    for i = 0 to !processed - 1 do
+      let t = order.(i) in
+      expand s t;
+      if t <> s then expand t s
+    done
+  done;
+  seen
+
+(* The automaton on the states marked in [seen], renumbered in ascending
+   order; [targets] and [final] speak the old numbering. *)
+let restrict ~nlabels ~seen ~final ~targets =
+  let remap = Array.make (Array.length seen) (-1) in
+  let n = ref 0 in
+  Array.iteri
+    (fun q s ->
+      if s then begin
+        remap.(q) <- !n;
+        incr n
+      end)
+    seen;
+  let n = !n in
+  let back = Array.make n 0 in
+  Array.iteri (fun q m -> if m >= 0 then back.(m) <- q) remap;
+  let t =
+    {
+      nstates = n;
+      nlabels;
+      table = Array.make ((n + 1) * (n + 1) * nlabels) 0;
+      final = Array.map final back;
+    }
+  in
+  let lift q = if q < 0 then -1 else back.(q) in
+  let buf = Array.make nlabels 0 in
+  for ql = -1 to n - 1 do
+    for qr = -1 to n - 1 do
+      targets (lift ql) (lift qr) buf;
+      let r = idx t ql qr 0 in
+      for l = 0 to nlabels - 1 do
+        t.table.(r + l) <- remap.(buf.(l))
+      done
+    done
+  done;
+  t
+
 let product a b ~final =
   if a.nlabels <> b.nlabels then invalid_arg "Dta.product: alphabet mismatch";
-  let n = a.nstates * b.nstates in
-  let pair qa qb = (qa * b.nstates) + qb in
-  make ~nstates:n ~nlabels:a.nlabels
-    ~final:(fun q -> final a.final.(q / b.nstates) b.final.(q mod b.nstates))
-    (fun ql qr l ->
-      let split q = if q < 0 then (-1, -1) else (q / b.nstates, q mod b.nstates) in
-      let qla, qlb = split ql and qra, qrb = split qr in
-      pair (delta a qla qra l) (delta b qlb qrb l))
+  let nb = b.nstates and nl = a.nlabels in
+  (* Pair (qa, qb) is state qa * nb + qb of the full product; only the
+     reachable pairs are built, numbered in that order. *)
+  let targets pl pr dst =
+    let split p = if p < 0 then (-1, -1) else (p / nb, p mod nb) in
+    let qla, qlb = split pl and qra, qrb = split pr in
+    let ra = idx a qla qra 0 and rb = idx b qlb qrb 0 in
+    for l = 0 to nl - 1 do
+      dst.(l) <- (a.table.(ra + l) * nb) + b.table.(rb + l)
+    done
+  in
+  let size = a.nstates * nb in
+  restrict ~nlabels:nl
+    ~seen:(closure ~size ~nlabels:nl ~targets)
+    ~final:(fun p -> final a.final.(p / nb) b.final.(p mod nb))
+    ~targets
 
 let complement t = { t with final = Array.map not t.final }
 
@@ -149,104 +228,147 @@ let accept_all ~nlabels =
 let accept_none ~nlabels =
   make ~nstates:1 ~nlabels ~final:(fun _ -> false) (fun _ _ _ -> 0)
 
+let own_targets t ql qr dst = Array.blit t.table (idx t ql qr 0) dst 0 t.nlabels
+
 let reachable t =
-  let reach = Array.make t.nstates false in
-  let frontier = Queue.create () in
-  let add q =
-    if not reach.(q) then begin
-      reach.(q) <- true;
-      Queue.add q frontier
-    end
-  in
-  for l = 0 to t.nlabels - 1 do
-    add (delta t (-1) (-1) l)
-  done;
-  while not (Queue.is_empty frontier) do
-    let q = Queue.pop frontier in
-    for l = 0 to t.nlabels - 1 do
-      add (delta t q (-1) l);
-      add (delta t (-1) q l);
-      for q' = 0 to t.nstates - 1 do
-        if reach.(q') then begin
-          add (delta t q q' l);
-          add (delta t q' q l)
-        end
-      done
-    done
-  done;
-  reach
+  closure ~size:t.nstates ~nlabels:t.nlabels ~targets:(own_targets t)
 
 let reduce t =
-  let reach = reachable t in
-  let remap = Array.make t.nstates (-1) in
-  let k = ref 0 in
-  Array.iteri
-    (fun q r ->
-      if r then begin
-        remap.(q) <- !k;
-        incr k
-      end)
-    reach;
-  let n' = max 1 !k in
-  let back = Array.make n' 0 in
-  Array.iteri (fun q m -> if m >= 0 then back.(m) <- q) remap;
-  make ~nstates:n' ~nlabels:t.nlabels
-    ~final:(fun q -> !k > 0 && t.final.(back.(q)))
-    (fun ql qr l ->
-      if !k = 0 then 0
-      else
-        let lift q = if q < 0 then -1 else back.(q) in
-        let q = delta t (lift ql) (lift qr) l in
-        (* Images of reachable states are reachable; other entries are
-           irrelevant, point them anywhere valid. *)
-        if remap.(q) >= 0 then remap.(q) else 0)
+  let seen = reachable t in
+  if Array.for_all Fun.id seen then t
+  else
+    restrict ~nlabels:t.nlabels ~seen ~final:(Array.get t.final)
+      ~targets:(own_targets t)
 
+(* Labels whose columns agree entry for entry are interchangeable in every
+   signature [minimize] compares: the first label of each such group
+   stands for the group. *)
+let distinct_labels t =
+  let nl = t.nlabels and rows = (t.nstates + 1) * (t.nstates + 1) in
+  let same l l' =
+    let rec go i =
+      i = rows
+      || (t.table.((i * nl) + l) = t.table.((i * nl) + l') && go (i + 1))
+    in
+    go 0
+  in
+  let hash l =
+    let h = ref 0 in
+    for i = 0 to rows - 1 do
+      h := ((!h * 65599) + t.table.((i * nl) + l)) land max_int
+    done;
+    !h
+  in
+  let groups = Hashtbl.create 16 in
+  List.filter
+    (fun l ->
+      let h = hash l in
+      if List.exists (same l) (Hashtbl.find_all groups h) then false
+      else begin
+        Hashtbl.add groups h l;
+        true
+      end)
+    (List.init nl Fun.id)
+  |> Array.of_list
+
+(* Moore partition refinement.  A state's signature is its class together
+   with the classes of every transition it takes part in, as left or as
+   right child, under every label.  Each round regroups the states by
+   signature, numbering the groups in order of their first member; the
+   fixpoint is the coarsest congruence separating final from non-final
+   states, and its classes are numbered by smallest member.  Signatures
+   are never materialized: states are bucketed by a hash over the whole
+   signature and compared entry by entry with the first member of each
+   group in their bucket. *)
 let minimize t =
   let t = reduce t in
-  let n = t.nstates in
+  let n = t.nstates and nl = t.nlabels in
+  let labels = distinct_labels t in
+  let m = Array.length labels in
+  let w = n + 1 in
+  (* [sub] is the table over the distinct labels only: entry
+     [((ql+1) * w + (qr+1)) * m + j] is delta(ql, qr, labels.(j)). *)
+  let sub =
+    Array.init (w * w * m) (fun i ->
+        t.table.(((i / m) * nl) + labels.(i mod m)))
+  in
   let cls = Array.init n (fun q -> if t.final.(q) then 1 else 0) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let sig_of q =
-      let acc = ref [ cls.(q) ] in
-      for l = 0 to t.nlabels - 1 do
-        acc := cls.(delta t q (-1) l) :: cls.(delta t (-1) q l) :: !acc;
-        for r = 0 to n - 1 do
-          acc := cls.(delta t q r l) :: cls.(delta t r q l) :: !acc
+  let nclasses =
+    ref
+      ((if Array.exists Fun.id t.final then 1 else 0)
+      + if Array.exists not t.final then 1 else 0)
+  in
+  let stable = ref false in
+  while not !stable do
+    let c = Array.map (fun q -> cls.(q)) sub in
+    (* The left block of q is contiguous; its right block is w strided
+       runs of m entries. *)
+    let left q = (q + 1) * w * m and right q r = ((r * w) + q + 1) * m in
+    let hash q =
+      let h = ref cls.(q) in
+      let b = left q in
+      for i = b to b + (w * m) - 1 do
+        h := ((!h * 65599) + c.(i)) land max_int
+      done;
+      for r = 0 to w - 1 do
+        let b = right q r in
+        for i = b to b + m - 1 do
+          h := ((!h * 65599) + c.(i)) land max_int
         done
       done;
-      !acc
+      !h
     in
-    let sigs = Array.init n sig_of in
-    let fresh = Hashtbl.create 16 in
+    let rec same_run bp bq k =
+      k = 0 || (c.(bp) = c.(bq) && same_run (bp + 1) (bq + 1) (k - 1))
+    in
+    let equal p q =
+      let rec rights r =
+        r = w || (same_run (right p r) (right q r) m && rights (r + 1))
+      in
+      cls.(p) = cls.(q) && same_run (left p) (left q) (w * m) && rights 0
+    in
+    let groups = Hashtbl.create n in
     let next = ref 0 in
-    let newcls =
-      Array.init n (fun q ->
-          let key = (cls.(q), sigs.(q)) in
-          match Hashtbl.find_opt fresh key with
-          | Some c -> c
-          | None ->
-              let c = !next in
-              incr next;
-              Hashtbl.add fresh key c;
-              c)
-    in
-    if newcls <> cls then begin
-      Array.blit newcls 0 cls 0 n;
-      changed := true
-    end
+    let fresh = Array.make n 0 in
+    for q = 0 to n - 1 do
+      let h = hash q in
+      let bucket = Hashtbl.find_all groups h in
+      match List.find_opt (fun (p, _) -> equal p q) bucket with
+      | Some (_, k) -> fresh.(q) <- k
+      | None ->
+          fresh.(q) <- !next;
+          Hashtbl.add groups h (q, !next);
+          incr next
+    done;
+    (* Each round refines the last, so an equal class count means an equal
+       partition: [fresh] is then the fixpoint, in first-member order. *)
+    stable := !next = !nclasses;
+    nclasses := !next;
+    Array.blit fresh 0 cls 0 n
   done;
-  let nclasses = Array.fold_left max 0 cls + 1 in
-  let rep = Array.make nclasses 0 in
+  let k = !nclasses in
+  let rep = Array.make k 0 in
   for q = n - 1 downto 0 do
     rep.(cls.(q)) <- q
   done;
-  make ~nstates:nclasses ~nlabels:t.nlabels
-    ~final:(fun c -> t.final.(rep.(c)))
-    (fun cl cr l ->
-      let lift c = if c < 0 then -1 else rep.(c) in
-      cls.(delta t (lift cl) (lift cr) l))
+  let lift c = if c < 0 then -1 else rep.(c) in
+  let mt =
+    {
+      nstates = k;
+      nlabels = nl;
+      table = Array.make ((k + 1) * (k + 1) * nl) 0;
+      final = Array.map (Array.get t.final) rep;
+    }
+  in
+  for cl = -1 to k - 1 do
+    for cr = -1 to k - 1 do
+      let src = idx t (lift cl) (lift cr) 0 and dst = idx mt cl cr 0 in
+      for l = 0 to nl - 1 do
+        mt.table.(dst + l) <- cls.(t.table.(src + l))
+      done
+    done
+  done;
+  mt
 
 let is_empty t =
   let reach = reachable t in

@@ -63,7 +63,10 @@ val run_with_hole_states :
 val product : t -> t -> final:(bool -> bool -> bool) -> t
 (** Pairing construction; [final] combines the two finality predicates
     (conjunction = intersection, disjunction = union, xor = symmetric
-    difference). *)
+    difference).  Only the bottom-up-reachable pairs are built, numbered
+    in ascending order of their index [qa * nstates b + qb] in the full
+    product: the result equals {!reduce} of the full pairing, entry for
+    entry. *)
 
 val complement : t -> t
 
@@ -76,9 +79,10 @@ val reduce : t -> t
     and inflate the m of Theorem 5. *)
 
 val minimize : t -> t
-(** Moore partition refinement on a reduced automaton.  Quadratic in the
-    state count per round; intended for the small automata of pattern
-    queries. *)
+(** Moore partition refinement on the reduced automaton, to the coarsest
+    congruence separating final from non-final states; classes are
+    numbered by their smallest member.  Quadratic in the state count per
+    round; intended for the small automata of pattern queries. *)
 
 val is_empty : t -> bool
 (** No reachable final state. *)

@@ -7,6 +7,11 @@ type t = {
 
 exception Unsupported of string
 
+module Obs = Wm_obs.Obs
+
+let t_compile = Obs.timer "trees.compile"
+let c_states = Obs.counter "trees.compile.states"
+
 (* ------------------------------------------------------------------ *)
 (* Alpha-renaming: make every bound variable unique and distinct from
    free variables, so each variable owns one pebble bit. *)
@@ -162,8 +167,11 @@ let rec classify (phi : Mso.t) (elems, sets) =
 
 let minimize_threshold = 220
 
+(* The partial results of connectives and quantifiers arrive here already
+   reduced: products and determinizations build only reachable states.
+   The counter sums their sizes before minimization. *)
 let tidy auto =
-  let auto = Dta.reduce auto in
+  Obs.add c_states (Dta.nstates auto);
   if Dta.nstates auto <= minimize_threshold then Dta.minimize auto else auto
 
 (* An automaton paired with the sorted list of variables its alphabet's
@@ -171,6 +179,7 @@ let tidy auto =
 type partial = { dta : Dta.t; fv : string list }
 
 let compile ~base ~free phi =
+  Obs.time t_compile @@ fun () ->
   let phi = alpha_rename phi in
   let declared = Svars.of_list free in
   if Svars.cardinal declared <> List.length free then

@@ -21,7 +21,9 @@ val project : Dta.t -> alpha:Alphabet.t -> bit:int -> t
 
 val determinize : t -> Dta.t
 (** Subset construction; only reachable subset-states are materialized, and
-    the result is complete (the empty subset is the sink). *)
+    the result is complete (the empty subset is the sink).  Subset ids
+    follow a fixed discovery order (DESIGN.md 5.4), so the result does not
+    depend on how the NTA's states are numbered. *)
 
 val accepts : t -> Btree.t -> label_of:(int -> int) -> bool
 (** Direct nondeterministic evaluation (set-of-states simulation); used by

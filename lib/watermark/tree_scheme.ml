@@ -1,8 +1,8 @@
 open Wm_trees
 
-type options = { seed : int; block_size : int option; pairs_per_block : int }
+type options = { block_size : int option; pairs_per_block : int }
 
-let default_options = { seed = 0xC0FFEE; block_size = None; pairs_per_block = 1 }
+let default_options = { block_size = None; pairs_per_block = 1 }
 
 type report = {
   states : int;
@@ -143,7 +143,6 @@ let prepare ?(options = default_options) tree query =
       let blocks_kept = List.length kept in
       (* Phase 3: behavioral collisions. *)
       let bit = Tree_query.k query in
-      let rng = Prng.create options.seed in
       let paired =
         List.filter_map
           (fun b ->
@@ -185,7 +184,6 @@ let prepare ?(options = default_options) tree query =
                     (List.sort compare us))
                 [] collisions
             in
-            ignore rng;
             if pairs = [] then None else Some (b, pairs))
           kept
       in

@@ -19,7 +19,6 @@
     of the lemma when several pairs are marked at once. *)
 
 type options = {
-  seed : int;
   block_size : int option;  (** override the 2m member threshold *)
   pairs_per_block : int;  (** default 1; raising it trades distortion for capacity *)
 }

@@ -420,9 +420,28 @@ let prop_clique_width_bound =
       let term = Cw_term.random g ~labels:4 ~vertices:(2 + Wm_util.Prng.int g 10) in
       Cw_term.width term <= 4 && Cw_term.validate term = Ok ())
 
+(* The minimized query automata, pinned by digest (see
+   Test_trees.dta_digest): minimization must keep its class numbering. *)
+let test_automaton_digests () =
+  let digest q = Test_trees.dta_digest (Wm_trees.Tree_query.automaton q) in
+  List.iter
+    (fun (labels, want) ->
+      check Alcotest.string
+        (Printf.sprintf "adjacency, %d labels" labels)
+        want
+        (digest (Cw_adjacency.query ~labels)))
+    [
+      (2, "0f2567601a6397f432f4bcbafb3a2885");
+      (3, "c730f3861e8bfe80ba7b9c9bd7577427");
+      (4, "3ece8bc3ea12bd97cf7f24ea78324468");
+    ];
+  check Alcotest.string "distance 2, 2 labels" "b490c660ce5d84bfb98973169c5621e9"
+    (digest (Cw_adjacency.distance2_query ~labels:2))
+
 let suite =
   [
     ("term basics", `Quick, test_term_basics);
+    ("automata are bit-identical", `Quick, test_automaton_digests);
     ("clique evaluation", `Quick, test_clique_eval);
     ("path evaluation", `Quick, test_path_eval);
     ("parse tree shape", `Quick, test_parse_tree_shape);

@@ -352,6 +352,142 @@ let prop_determinize_of_dta_is_identity_language =
       with_random_setup seed (fun a _ _ ->
           Dta.equivalent a (Nta.determinize (Nta.of_dta a))))
 
+(* --- Bit-identical compilation ----------------------------------------
+
+   A digest of an automaton's state count, final states and full
+   transition table.  The tree scheme groups candidate nodes by lists of
+   state ids, so a compiler change that renumbers states changes which
+   pairs get marked even when every language is preserved: the digests
+   below pin the numbering, and a change to one is a change to marked
+   outputs (DESIGN.md 5.4). *)
+let dta_digest d =
+  let b = Buffer.create 4096 in
+  let n = Dta.nstates d and nl = Dta.nlabels d in
+  Printf.bprintf b "%d %d|" n nl;
+  for q = 0 to n - 1 do
+    if Dta.is_final d q then Printf.bprintf b "%d," q
+  done;
+  Buffer.add_char b '|';
+  for ql = -1 to n - 1 do
+    for qr = -1 to n - 1 do
+      for l = 0 to nl - 1 do
+        Printf.bprintf b "%d," (Dta.delta d ql qr l)
+      done
+    done
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let extra_tags = List.init 4 (Printf.sprintf "x%d")
+
+(* The E8 formula suite, over {a, b} and over {a, b} plus [extra_tags]. *)
+let e8_digests =
+  [
+    ( "a(x)", [ "x" ],
+      "affefd82543a0f8d9507bc61e13733be", "6636740fcdbdeb25f881ac78b88a3585" );
+    ( "S1(x,y)", [ "x"; "y" ],
+      "7ec3e9962011539f1a3886fb4eba6c22", "fc75719a022195a915e4bd18e565cffa" );
+    ( "Leq(x,y)", [ "x"; "y" ],
+      "7bf5c9bbff6d45e5747bc6b5c878a198", "cc547d5a307b66366e59ca0a71264d69" );
+    ( "exists y. S1(x,y)", [ "x" ],
+      "937cab5f83f86ad66df9426bc0923cca", "6d8e1b111f6924c96eeb52d6030804c3" );
+    ( "forall y. (Leq(y,x) -> y = x)", [ "x" ],
+      "8d4ec50c3d2d647b204e38ff8a1b8047", "3ef62affa7a6eb7a90e47ae1c13d2594" );
+    ( "~(exists y. (S1(x,y) | S2(x,y)))", [ "x" ],
+      "75ad38fa6ab53c8d62ba78a7e2400896", "39840fdb5163f94c424a9843cf0ece19" );
+    ( "exists z. ((S1(x,z) | S2(x,z)) & (S1(z,y) | S2(z,y)))", [ "x"; "y" ],
+      "99ec44ade8a7708acc5fb9082717e7e1", "dcdb803fa75560a4aec7a725583ad2fe" );
+    ( "forallS X. ((x in X & forall u. forall v. ((u in X & (S1(u,v) | \
+       S2(u,v))) -> v in X)) -> y in X)",
+      [ "x"; "y" ],
+      "95a0e239d8f1d06970492717e1318196", "7b2010aafee4e545c313812d6e7e4b74" );
+  ]
+
+let test_e8_digests () =
+  List.iter
+    (fun (text, free, plain, extended) ->
+      let phi = Parser.mso_of_string text in
+      List.iter
+        (fun (base, want) ->
+          let c = Mso_compile.compile ~base:(Array.of_list base) ~free phi in
+          check string
+            (Printf.sprintf "%s over %d letters" text (List.length base))
+            want (dta_digest c.Mso_compile.auto))
+        [ ([ "a"; "b" ], plain); ([ "a"; "b" ] @ extra_tags, extended) ])
+    e8_digests
+
+(* The reachable-only product equals the full pairing construction,
+   tabulated naively, followed by [reduce] — entry for entry, numbering
+   included. *)
+let naive_product a b ~final =
+  let na = Dta.nstates a and nb = Dta.nstates b in
+  let split q = if q < 0 then (-1, -1) else (q / nb, q mod nb) in
+  Dta.reduce
+    (Dta.make ~nstates:(na * nb) ~nlabels:(Dta.nlabels a)
+       ~final:(fun q -> final (Dta.is_final a (q / nb)) (Dta.is_final b (q mod nb)))
+       (fun ql qr l ->
+         let qla, qlb = split ql and qra, qrb = split qr in
+         (Dta.delta a qla qra l * nb) + Dta.delta b qlb qrb l))
+
+let prop_product_is_naive_product =
+  QCheck.Test.make ~count:60 ~name:"product = reduce (naive full product)"
+    dta_gen
+    (fun seed ->
+      let g = Prng.create seed in
+      let nlabels = 1 + Prng.int g 4 in
+      (* Targets drawn from a prefix of the states leave some unreachable. *)
+      let sparse_dta () =
+        let nstates = 1 + Prng.int g 6 in
+        let range = if Prng.bool g then nstates else 1 + Prng.int g nstates in
+        let table =
+          Array.init ((nstates + 1) * (nstates + 1) * nlabels) (fun _ ->
+              Prng.int g range)
+        in
+        let finals = Array.init nstates (fun _ -> Prng.bool g) in
+        Dta.make ~nstates ~nlabels ~final:(Array.get finals) (fun ql qr l ->
+            table.((((ql + 1) * (nstates + 1)) + (qr + 1)) * nlabels + l))
+      in
+      let a = sparse_dta () and b = sparse_dta () in
+      List.for_all
+        (fun final ->
+          dta_digest (Dta.product a b ~final)
+          = dta_digest (naive_product a b ~final))
+        [ ( && ); ( || ); ( <> ) ])
+
+(* Projection then determinization is existential quantification over the
+   projected bit: brute force over every set of nodes that could carry
+   it. *)
+let prop_determinize_project_is_exists =
+  QCheck.Test.make ~count:40 ~name:"determinize (project d) = exists a bit set"
+    dta_gen
+    (fun seed ->
+      let g = Prng.create seed in
+      let bits = 1 + Prng.int g 2 in
+      let alpha = Alphabet.make ~base_size:2 ~bits in
+      let small = Alphabet.make ~base_size:2 ~bits:(bits - 1) in
+      let d =
+        random_dta g ~nstates:(2 + Prng.int g 4) ~nlabels:(Alphabet.size alpha)
+      in
+      let bit = Prng.int g bits in
+      let det = Nta.determinize (Nta.project d ~alpha ~bit) in
+      let names = List.init (Alphabet.size small) (Printf.sprintf "l%d") in
+      List.for_all
+        (fun _ ->
+          let tree =
+            Trees_gen.random_tree g ~alphabet:names ~size:(1 + Prng.int g 8)
+          in
+          let n = Btree.size tree in
+          let some_set =
+            List.exists
+              (fun set ->
+                Dta.accepts d tree ~label_of:(fun v ->
+                    Alphabet.insert_bit small bit
+                      ((set lsr v) land 1 = 1)
+                      (Btree.label tree v)))
+              (List.init (1 lsl n) Fun.id)
+          in
+          Dta.accepts det tree ~label_of:(Btree.label tree) = some_set)
+        (List.init 8 Fun.id))
+
 (* The O(n*m) context-acceptance result_set must agree with per-candidate
    automaton runs. *)
 let prop_result_set_fast_agrees =
@@ -403,6 +539,7 @@ let suite =
     ("mso: set quantifier closure", `Slow, test_mso_set_quantifier);
     ("mso: Leq definability", `Slow, test_mso_leq_definability);
     ("tree query basics", `Quick, test_tree_query_basics);
+    ("E8 automata are bit-identical", `Quick, test_e8_digests);
     QCheck_alcotest.to_alcotest prop_determinize_agrees;
     QCheck_alcotest.to_alcotest prop_result_set_fast_agrees;
     QCheck_alcotest.to_alcotest prop_product_is_intersection;
@@ -410,4 +547,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_minimize_preserves_language;
     QCheck_alcotest.to_alcotest prop_de_morgan_automata;
     QCheck_alcotest.to_alcotest prop_determinize_of_dta_is_identity_language;
+    QCheck_alcotest.to_alcotest prop_product_is_naive_product;
+    QCheck_alcotest.to_alcotest prop_determinize_project_is_exists;
   ]

@@ -450,6 +450,45 @@ let test_pattern_compiled_size () =
   check bool "at most 60 states" true
     (Wm_trees.Dta.nstates (Wm_trees.Tree_query.automaton q) <= 60)
 
+(* Compiled pattern automata, pinned by digest (see Test_trees.dta_digest):
+   over the document's alphabet and over it plus four extra tags. *)
+let test_pattern_digests () =
+  let class_doc =
+    Utree.of_xml
+      (Xml.parse
+         {|<school><class><name>A</name><group><exam>10</exam></group><exam>5</exam></class><class><name>B</name><exam>7</exam></class></school>|})
+  in
+  let biblio = Biblio_xml.generate (Prng.create 7) ~articles:24 () in
+  let example4 = School_xml.example4 in
+  List.iter
+    (fun (p, doc, plain, extended) ->
+      let alphabet =
+        Encode.abstract_alphabet ~constants:(Pattern.constants p) doc
+      in
+      List.iter
+        (fun (alphabet, want) ->
+          let q = Pattern.compile p ~alphabet in
+          check string
+            (Printf.sprintf "%s over %d letters" (Pattern.to_string p)
+               (List.length alphabet))
+            want
+            (Test_trees.dta_digest (Wm_trees.Tree_query.automaton q)))
+        [ (alphabet, plain); (alphabet @ Test_trees.extra_tags, extended) ])
+    [
+      ( Biblio_xml.pattern, biblio,
+        "d20eec1584bfb1a26ceed65cc52292ab", "20b7c86ab88e8ab20d4ac591d30cbe03" );
+      ( School_xml.example4_pattern, example4,
+        "3d892ec122685329c00b2727caf98369", "ba40eb554ba558710d6b3957019bc00d" );
+      ( Pattern.parse "school//student[firstname=$a]/exam", example4,
+        "1adadb0ad43538bc90b3e5c6ebfaef68", "ac4187fc0840b73a1416a507cc445830" );
+      ( Pattern.parse "school/student[firstname=$a][lastname=Smith]/exam", example4,
+        "6fae763ebcef13ce52d1e03ea6ffe314", "deca4fcbe062cc758445d7dab98cf949" );
+      ( Pattern.parse "school//student[firstname=$a][lastname=Smith]/exam", example4,
+        "7d2692240a29b3c81d2bf705482f2617", "88c91e3676c4425e0fb0943d6355f112" );
+      ( Pattern.parse "school//class[name=$a]//exam", class_doc,
+        "9a07ffc610f45413c05697f411c81709", "600f03ca1e9177651fd6c97fb96416cb" );
+    ]
+
 (* Properties *)
 
 let prop_xml_roundtrip =
@@ -518,6 +557,7 @@ let suite =
     ("pattern structural params", `Quick, test_pattern_structural_params);
     ("pattern automaton agrees with evaluator", `Slow, test_pattern_automaton_agrees);
     ("pattern automaton is small", `Slow, test_pattern_compiled_size);
+    ("pattern automata are bit-identical", `Quick, test_pattern_digests);
     QCheck_alcotest.to_alcotest prop_xml_roundtrip;
     QCheck_alcotest.to_alcotest prop_encode_roundtrip;
     QCheck_alcotest.to_alcotest prop_value_query_is_union;
