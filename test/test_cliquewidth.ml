@@ -441,7 +441,6 @@ let test_automaton_digests () =
 let suite =
   [
     ("term basics", `Quick, test_term_basics);
-    ("automata are bit-identical", `Quick, test_automaton_digests);
     ("clique evaluation", `Quick, test_clique_eval);
     ("path evaluation", `Quick, test_path_eval);
     ("parse tree shape", `Quick, test_parse_tree_shape);
@@ -464,6 +463,7 @@ let suite =
     ("distance-2 on cliques", `Quick, test_distance2_clique);
     ("distance-2 watermarking", `Slow, test_distance2_scheme);
     ("make_reachable = eager tabulation", `Quick, test_make_reachable_matches_eager);
+    ("automata are bit-identical", `Quick, test_automaton_digests);
     QCheck_alcotest.to_alcotest prop_distance2_random_terms;
     QCheck_alcotest.to_alcotest prop_min_degree_always_valid;
     QCheck_alcotest.to_alcotest prop_min_fill_always_valid;
