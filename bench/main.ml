@@ -5,53 +5,15 @@
      dune exec bench/main.exe -- --no-speed
      dune exec bench/main.exe -- --jobs 4 --json BENCH_PR2.json
 
-   With --jobs > 1 the experiments themselves are dispatched on the
-   {!Par} pool (each experiment's output is captured in a buffer and
-   printed in submission order); --json writes per-experiment wall times
-   and recorded scalars to a machine-readable trajectory file.
+   Experiments run one after another; --jobs sets the process-wide job
+   count their parallel sections use, and --json writes per-experiment
+   wall times, recorded scalars and counter deltas to a machine-readable
+   trajectory file.
 
    Experiment ids and the paper artifacts they reproduce are indexed in
    DESIGN.md section 4; paper-vs-measured is recorded in EXPERIMENTS.md. *)
 
 open Qpwm
-
-(* --- output plumbing --------------------------------------------------
-   Experiments print through [out].  Under sequential dispatch the sink
-   is unset and output streams to stdout; under parallel dispatch each
-   experiment task installs a per-task buffer in domain-local storage,
-   and the driver prints the buffers in submission order, so the
-   rendered report is identical for every job count. *)
-
-let sink : Buffer.t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let out s =
-  match Domain.DLS.get sink with
-  | Some b -> Buffer.add_string b s
-  | None -> Stdlib.print_string s
-
-let print_string = out
-let print_endline s = out s; out "\n"
-let print_newline () = out "\n"
-
-module Printf = struct
-  let printf fmt = Stdlib.Printf.ksprintf out fmt
-  let eprintf = Stdlib.Printf.eprintf
-  let sprintf = Stdlib.Printf.sprintf
-end
-
-(* Same rendering as Texttab.print, routed through [out]. *)
-module Texttab = struct
-  include Texttab
-
-  let print ?title t =
-    (match title with
-    | Some s ->
-        print_newline ();
-        print_endline s;
-        print_endline (String.make (String.length s) '=')
-    | None -> ());
-    print_string (render t)
-end
 
 (* Wall-clock, not CPU time: parallel speedups are invisible to
    [Sys.time], which sums over domains. *)
@@ -62,18 +24,21 @@ let secs f =
 
 (* --- scalar trajectory ------------------------------------------------
    Experiments may record named scalars; --json dumps them next to the
-   per-experiment wall time.  Guarded by a mutex: under parallel
-   dispatch several experiments record concurrently. *)
+   per-experiment wall time. *)
 
-let scalar_mutex = Mutex.create ()
 let scalars : (string, (string * Json.t) list ref) Hashtbl.t = Hashtbl.create 8
 
 let record_scalars ~experiment kvs =
-  Mutex.lock scalar_mutex;
-  (match Hashtbl.find_opt scalars experiment with
+  match Hashtbl.find_opt scalars experiment with
   | Some r -> r := !r @ kvs
-  | None -> Hashtbl.add scalars experiment (ref kvs));
-  Mutex.unlock scalar_mutex
+  | None -> Hashtbl.add scalars experiment (ref kvs)
+
+(* [with_jobs j f] runs [f] under the process-wide job count [j] and
+   restores the previous count afterwards. *)
+let with_jobs j f =
+  let prev = Par.jobs () in
+  Par.set_jobs (Some j);
+  Fun.protect ~finally:(fun () -> Par.set_jobs (Some prev)) f
 
 let header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -1323,9 +1288,9 @@ let e19 () =
 (* E20 — strong scaling of the wm_par pool: the two heaviest parallel
    call sites (neighborhood type indexing, the attack grid) swept over
    job counts, asserting along the way that every job count produces the
-   jobs=1 result bit for bit.  Run it alone (bench e20) for clean
-   timings: under parallel dispatch of the whole suite the sweeps share
-   the machine with other experiments. *)
+   jobs=1 result bit for bit.  Each sweep sets the process-wide job
+   count through [with_jobs], so the pool runs exactly that many
+   domains once it has grown to the largest count. *)
 
 let e20 () =
   header "E20. Strong scaling: wm_par pool, jobs in {1, 2, 4}";
@@ -1335,12 +1300,13 @@ let e20 () =
   let t =
     Texttab.create [ "workload"; "jobs"; "wall s"; "speedup"; "= jobs 1" ]
   in
+  let speedups = ref [] in
   let sweep name run equal =
     let baseline = ref None in
     let t1 = ref 1.0 in
     List.iter
       (fun j ->
-        let x, dt = secs (fun () -> run j) in
+        let x, dt = secs (fun () -> with_jobs j run) in
         let same =
           match !baseline with
           | None ->
@@ -1351,6 +1317,10 @@ let e20 () =
         in
         Texttab.addf t "%s|%d|%.3f|%.2fx|%s" name j dt (!t1 /. dt)
           (if same then "yes" else "NO");
+        if j > 1 then
+          speedups :=
+            Printf.sprintf "%s %.2fx at jobs %d" name (!t1 /. dt) j
+            :: !speedups;
         record_scalars ~experiment:"e20"
           [
             (Printf.sprintf "%s_wall_s_j%d" name j, Json.Float dt);
@@ -1367,7 +1337,7 @@ let e20 () =
   let wsa = Random_struct.graph (Prng.create 41) ~n:420 ~max_degree:6 ~edges:940 in
   let ga = wsa.Weighted.graph in
   sweep "ntp-index"
-    (fun j -> Neighborhood.index_universe ~jobs:j ga ~rho:2 ~arity:1)
+    (fun () -> Neighborhood.index_universe ga ~rho:2 ~arity:1)
     (fun (a : Neighborhood.index) b ->
       Tuple.Map.equal ( = ) a.Neighborhood.types b.Neighborhood.types
       && a.Neighborhood.representatives = b.Neighborhood.representatives);
@@ -1375,9 +1345,9 @@ let e20 () =
      cell. *)
   let wsb = Random_struct.travel (Prng.create 19) ~travels:100 ~transports:400 in
   sweep "attack-grid"
-    (fun j ->
+    (fun () ->
       match
-        Attack_suite.run ~jobs:j ~seed:19 ~redundancies:[ 5 ] ~message_bits:4
+        Attack_suite.run ~seed:19 ~redundancies:[ 5 ] ~message_bits:4
           wsb Random_struct.travel_query
       with
       | Ok r -> r
@@ -1385,10 +1355,12 @@ let e20 () =
     ( = );
   Texttab.print t;
   Printf.printf "pool size after the sweeps: %d runners\n" (Par.pool_size ());
-  print_endline
+  Printf.printf
     "Every job count reproduces the jobs=1 report exactly (the pool's\n\
-     determinism contract); wall time drops with jobs up to the number of\n\
-     hardware domains the runner provides."
+     determinism contract).  Measured speedups over jobs 1, on %d\n\
+     recommended domains: %s.\n"
+    (Domain.recommended_domain_count ())
+    (String.concat ", " (List.rev !speedups))
 
 (* ------------------------------------------------------------------ *)
 (* E21 — incremental neighborhood-index maintenance: after an edit
@@ -1484,9 +1456,8 @@ let e21 () =
    workloads of E20/E21, and the per-phase breakdown it buys.  Each
    workload is timed best-of-3 with collection off, then best-of-3 with
    collection on; the acceptance bar is overhead below 5% on the E21
-   index workload.  The enable flag is process-global, so run this
-   experiment alone (bench e22) for clean numbers — under parallel
-   dispatch the off-phase would also silence concurrent experiments. *)
+   index workload.  The enable flag is process-global; the experiment
+   restores it when done. *)
 
 let e22 () =
   header "E22. Observability overhead and per-phase breakdown";
@@ -1559,9 +1530,7 @@ let e22 () =
    bit-identical indexes; the acceptance bar is a >=2x speedup on the
    spheres (materialization) phase of the E20 workload.  The iso-check
    counts under the old Hashtbl.hash bucket keys and the new deep keys
-   are recorded for the CI regression guard.  The obs flag is
-   process-global, so run this experiment alone (bench e23) for clean
-   numbers. *)
+   are recorded for the CI regression guard. *)
 
 let e23 () =
   header "E23. Neighborhood-typing fast path vs pre-PR pipeline (jobs=1)";
@@ -1592,10 +1561,13 @@ let e23 () =
   in
   let compare_on ~name g ~rho ~arity =
     let ix_new, t_new, d_new =
-      best (fun () -> Neighborhood.index_universe ~jobs:1 g ~rho ~arity)
+      best (fun () ->
+          with_jobs 1 @@ fun () -> Neighborhood.index_universe g ~rho ~arity)
     in
     let ix_ref, t_ref, d_ref =
-      best (fun () -> Neighborhood_ref.index_universe ~jobs:1 g ~rho ~arity)
+      best (fun () ->
+          with_jobs 1 @@ fun () ->
+          Neighborhood_ref.index_universe g ~rho ~arity)
     in
     let same =
       Tuple.Map.equal ( = ) ix_new.Neighborhood.types ix_ref.Neighborhood.types
@@ -1695,15 +1667,17 @@ let e24 () =
   in
   let detect_plain suspect =
     let rv, _ =
-      Survivable.detect_structure ~jobs:1 scheme ~times ~length:bits
-        ~original:ws ~suspect
+      with_jobs 1 @@ fun () ->
+      Survivable.detect_structure scheme ~times ~length:bits ~original:ws
+        ~suspect
     in
     Bitvec.equal message rv.Survivable.message
   in
   let detect_rep suspect =
     let rv, report, _ =
-      Recovery.detect_repaired ~jobs:1 cap scheme ~times ~length:bits
-        ~original:ws ~suspect
+      with_jobs 1 @@ fun () ->
+      Recovery.detect_repaired cap scheme ~times ~length:bits ~original:ws
+        ~suspect
     in
     (Bitvec.equal message rv.Survivable.message, report.Recovery.repaired)
   in
@@ -1801,12 +1775,13 @@ let e24 () =
 (* ------------------------------------------------------------------ *)
 (* E25: watermarking as a service.  Drives the wm_serve engine through
    the qpwm-serve/1 protocol (encode -> handle -> decode, exactly the
-   bytes the wire would carry) on two datasets: a million-element
-   regular-rings instance prepared with the identity query system and a
-   Gaifman-component-sharded index, and a small "live" dataset taking
-   the structural-update/audit/repair traffic.  Measures sustained mixed
-   request throughput and pins the two sharding identities (sharded
-   index = unsharded index, sharded detect = unsharded detect).
+   bytes the wire would carry) on two datasets: a big regular-rings
+   instance (10^6 elements unless overridden) prepared with the identity
+   query system and a Gaifman-component-sharded index, and a small
+   "live" dataset taking the structural-update/audit/repair traffic.
+   Measures sustained mixed request throughput and pins the two sharding
+   identities (sharded index = unsharded index, sharded detect =
+   unsharded detect).
 
    WMARK_E25_N and WMARK_E25_REQS override the big-instance size and the
    request count so CI can run a small configuration; the committed
@@ -1874,7 +1849,7 @@ let e25 () =
   Texttab.addf t "prepare sharded|%.2f s" shard_s;
   Texttab.addf t "sharded index = unsharded|%b" index_equal;
   Texttab.addf t "sharded detect = unsharded|%b" detect_equal;
-  (* -- the million-element dataset ----------------------------------- *)
+  (* -- the big dataset ----------------------------------------------- *)
   let _, gen_s =
     secs (fun () -> send "gen big" (Serve_protocol.Gen { id = "big"; n; seed = 0x25 }))
   in
@@ -1945,7 +1920,7 @@ let e25 () =
       edge_present := not !edge_present;
       Serve_protocol.Update
         ( "live",
-          Stdlib.Printf.sprintf "%s E %d %d\n%s E %d %d\n" op a b op b a )
+          Printf.sprintf "%s E %d %d\n%s E %d %d\n" op a b op b a )
     end
     else Serve_protocol.Repair "vault"
   in
@@ -1983,14 +1958,14 @@ let e25 () =
       ("sharded_detect_equal", Json.Bool (detect_equal && big_detect_equal));
     ];
   Printf.printf
-    "The engine answers the mixed stream against the million-element\n\
+    "The engine answers the mixed stream against the %d-element\n\
      instance at %.0f req/s: detection reads only the asked prefix of\n\
-     the half-million-pair scheme, marking rewrites O(message) weights,\n\
-     and weights-only updates ride Theorem 7 in O(log n).  Sharding by\n\
+     the %d-bit scheme, marking rewrites O(message) weights, and\n\
+     weights-only updates ride Theorem 7 in O(log n).  Sharding by\n\
      Gaifman component reproduces the unsharded index and verdicts bit\n\
      for bit (sharded_index_equal, sharded_detect_equal feed the CI\n\
      guard).\n"
-    rps
+    n rps capacity
 
 (* ------------------------------------------------------------------ *)
 (* E26 — the flat-memory core (PR 8): end-to-end tuples/second.
@@ -2242,7 +2217,8 @@ let e27 () =
         prefix = "r"; count = population; alpha = 0.01; suspect = Some planted }
   in
   let run jobs =
-    let engine = Serve_engine.create ~jobs () in
+    with_jobs jobs @@ fun () ->
+    let engine = Serve_engine.create () in
     let raw req = Serve_engine.handle engine (Serve_protocol.encode_request req) in
     let ok what payload =
       match Serve_protocol.decode_response payload with
@@ -2583,48 +2559,24 @@ let () =
   in
   let t0 = Unix.gettimeofday () in
   let results =
-    if Par.jobs () <= 1 then
-      (* sequential: stream straight to stdout.  Counter deltas are
-         attributable per experiment only here — under parallel dispatch
-         concurrent experiments share the cells, so the trajectory file
-         then carries one global snapshot instead. *)
-      List.map
-        (fun (id, f) ->
-          let since = Obs.snapshot () in
-          let (), dt = secs f in
-          let obs =
-            if Obs.enabled () then Some (Obs.diff ~since (Obs.snapshot ()))
-            else None
-          in
-          (id, None, dt, obs))
-        to_run
-    else
-      (* parallel: one pool task per experiment, output captured
-         per-task and replayed below in submission order *)
-      Par.map_list
-        (fun (id, f) ->
-          let b = Buffer.create 4096 in
-          let prev = Domain.DLS.get sink in
-          Domain.DLS.set sink (Some b);
-          let (), dt =
-            Fun.protect
-              ~finally:(fun () -> Domain.DLS.set sink prev)
-              (fun () -> secs f)
-          in
-          (id, Some (Buffer.contents b), dt, None))
-        to_run
+    List.map
+      (fun (id, f) ->
+        let since = Obs.snapshot () in
+        let (), dt = secs f in
+        let obs =
+          if Obs.enabled () then Some (Obs.diff ~since (Obs.snapshot ()))
+          else None
+        in
+        (id, dt, obs))
+      to_run
   in
-  List.iter
-    (fun (_, captured, _, _) ->
-      match captured with Some s -> Stdlib.print_string s | None -> ())
-    results;
   if (not no_speed) && wanted = [] then Speed.run ();
   (match json_path with
   | None -> ()
   | Some path ->
       let experiments_json =
         List.map
-          (fun (id, _, dt, obs) ->
+          (fun (id, dt, obs) ->
             Json.Obj
               ([ ("id", Json.String id); ("wall_s", Json.Float dt) ]
               @ (match Hashtbl.find_opt scalars id with
@@ -2664,12 +2616,11 @@ let () =
         (Json.Obj
            ([
               ("schema", Json.String "qpwm-bench/1");
-              ("pr", Json.Int 10);
               ("jobs", Json.Int (Par.jobs ()));
               ("pool_size", Json.Int (Par.pool_size ()));
               ("recommended_domains", Json.Int (Domain.recommended_domain_count ()));
               ("experiments", Json.List experiments_json);
             ]
            @ global_obs));
-      Stdlib.Printf.printf "\nwrote %s\n" path);
+      Printf.printf "\nwrote %s\n" path);
   Printf.printf "\ntotal: %.1f s (wall)\n" (Unix.gettimeofday () -. t0)

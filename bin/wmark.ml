@@ -53,10 +53,12 @@ let seed_term =
 
 let jobs_term =
   let doc =
-    "Worker domains for the parallel sections (type indexing, detection, \
-     the attack grid).  Default: $(b,WMARK_JOBS) or the machine's \
-     recommended domain count; 1 forces sequential execution.  Results \
-     are identical for every value."
+    "Job count for the parallel sections (type indexing, detection, \
+     the attack grid): the process runs $(docv) domains, the calling one \
+     plus $(docv)-1 workers, and a parallel section nested in another \
+     runs inline.  Default: $(b,WMARK_JOBS) or the machine's recommended \
+     domain count; 1 forces sequential execution.  Results are identical \
+     for every value."
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -1000,7 +1002,7 @@ let serve_cmd =
     (match dir with
     | Some d when not (Sys.file_exists d) -> Unix.mkdir d 0o755
     | _ -> ());
-    let engine = Serve_engine.create ?dir ?jobs () in
+    let engine = Serve_engine.create ?dir () in
     match socket with
     | None ->
         set_binary_mode_in stdin true;

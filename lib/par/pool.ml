@@ -1,4 +1,4 @@
-(* A fixed-size domain pool behind deterministic combinators.
+(* A domain pool behind deterministic combinators.
 
    Determinism is structural, not scheduled: every combinator writes each
    output slot exactly where the sequential loop would, and any
@@ -18,7 +18,7 @@ let c_domains_spawned = Obs.counter "pool.domains_spawned"
 let t_batch_wait = Obs.timer "pool.batch_wait"
 
 (* ------------------------------------------------------------------ *)
-(* Job-count resolution: ?jobs argument > set_jobs > WMARK_JOBS > hw. *)
+(* Job-count resolution: set_jobs > WMARK_JOBS > hw. *)
 
 let override : int option Atomic.t = Atomic.make None
 
@@ -53,10 +53,9 @@ let jobs () =
   match Atomic.get override with Some j -> j | None -> default_jobs ()
 
 (* ------------------------------------------------------------------ *)
-(* The pool: worker domains blocked on one shared queue.  Spawned once,
-   at the first parallel call; sized then so later calls asking for more
-   jobs than the machine advertises (the E20 sweep on a small box) still
-   get dedicated runners. *)
+(* The pool: worker domains blocked on one shared queue, plus the calling
+   domain.  It holds [jobs ()] runners, spawned at the first parallel
+   call and grown when a later [set_jobs] asks for more. *)
 
 type task = unit -> unit
 
@@ -96,56 +95,49 @@ let shutdown p =
   List.iter Domain.join p.domains;
   p.domains <- []
 
-let the_pool : pool option ref = ref None
+(* The one pool.  It starts with the calling domain as its only runner;
+   [grow] spawns the worker domains. *)
+let pool =
+  {
+    m = Mutex.create ();
+    nonempty = Condition.create ();
+    queue = Queue.create ();
+    stop = false;
+    domains = [];
+    runners = 1;
+  }
+
+let () = at_exit (fun () -> shutdown pool)
 let spawn_mutex = Mutex.create ()
 
-(* [get_pool ~want] returns the shared pool, grown to at least [want]
-   runners: a later [set_jobs]/[--jobs] above the first-call size spawns
-   the missing worker domains (under [spawn_mutex]) instead of being
-   silently clamped.  The pool never shrinks — fewer jobs just chunk the
-   index range over fewer tasks. *)
-let get_pool ~want () =
+(* [grow want] spawns the missing worker domains (under [spawn_mutex])
+   so the pool has at least [want] runners.  The pool never shrinks —
+   fewer jobs just chunk the index range over fewer tasks. *)
+let grow want =
   Mutex.lock spawn_mutex;
-  let p =
-    match !the_pool with
-    | Some p -> p
-    | None ->
-        let runners = max 4 (jobs ()) in
-        let p =
-          {
-            m = Mutex.create ();
-            nonempty = Condition.create ();
-            queue = Queue.create ();
-            stop = false;
-            domains = [];
-            runners;
-          }
-        in
-        p.domains <-
-          List.init (runners - 1) (fun _ -> Domain.spawn (fun () -> worker_loop p));
-        Obs.add c_domains_spawned (runners - 1);
-        at_exit (fun () -> shutdown p);
-        the_pool := Some p;
-        p
-  in
-  if want > p.runners then begin
-    p.domains <-
-      List.init (want - p.runners) (fun _ ->
-          Domain.spawn (fun () -> worker_loop p))
-      @ p.domains;
-    Obs.add c_domains_spawned (want - p.runners);
-    p.runners <- want
+  if want > pool.runners then begin
+    pool.domains <-
+      List.init (want - pool.runners) (fun _ ->
+          Domain.spawn (fun () -> worker_loop pool))
+      @ pool.domains;
+    Obs.add c_domains_spawned (want - pool.runners);
+    pool.runners <- want
   end;
-  Mutex.unlock spawn_mutex;
-  p
+  Mutex.unlock spawn_mutex
 
-let pool_size () = match !the_pool with Some p -> p.runners | None -> 1
+let pool_size () = pool.runners
 
 (* ------------------------------------------------------------------ *)
 (* Batches: enqueue wrapped tasks, help while waiting, re-raise the
    first failure once everything has drained.  Tasks swallow their own
    exceptions into the batch record, so a raising task can never take a
    worker down or leave the queue wedged. *)
+
+(* Set while the current domain runs a pool task, on a worker or on a
+   helping caller; a combinator that sees it runs inline.  A task is
+   never entered with the flag already set: a combinator inside a task
+   runs inline and so never reaches [run_tasks] to help. *)
+let in_task = Domain.DLS.new_key (fun () -> false)
 
 type batch = {
   bm : Mutex.t;
@@ -164,12 +156,14 @@ let run_tasks p (tasks : task array) =
     }
   in
   let wrap t () =
+    Domain.DLS.set in_task true;
     let failure =
       try
         t ();
         None
       with e -> Some (e, Printexc.get_raw_backtrace ())
     in
+    Domain.DLS.set in_task false;
     Mutex.lock b.bm;
     (match (failure, b.first_exn) with
     | Some f, None -> b.first_exn <- Some f
@@ -206,49 +200,42 @@ let run_tasks p (tasks : task array) =
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ()
 
-(* [run_indices j body n]: body i for every i in [0, n), chunked over up
-   to [j] runners.  Chunks are contiguous index ranges, so each slot is
+(* [run_indices j body n]: body i for every i in [0, n), chunked over
+   [j] runners.  Chunks are contiguous index ranges, so each slot is
    written exactly once, by exactly one task. *)
 let run_indices j body n =
-  if j <= 1 || n <= 1 then
-    for i = 0 to n - 1 do
-      body i
-    done
-  else begin
-    let p = get_pool ~want:j () in
-    let nchunks = max 1 (min n (j * 8)) in
-    let tasks =
-      Array.init nchunks (fun c ->
-          let lo = c * n / nchunks and hi = ((c + 1) * n / nchunks) - 1 in
-          fun () ->
-            for i = lo to hi do
-              body i
-            done)
-    in
-    run_tasks p tasks
-  end
+  grow j;
+  let nchunks = min n (j * 8) in
+  let tasks =
+    Array.init nchunks (fun c ->
+        let lo = c * n / nchunks and hi = ((c + 1) * n / nchunks) - 1 in
+        fun () ->
+          for i = lo to hi do
+            body i
+          done)
+  in
+  run_tasks pool tasks
 
 (* ------------------------------------------------------------------ *)
 (* Combinators *)
 
-let resolve = function Some j -> max 1 j | None -> jobs ()
-
-let parallel_mapi ?jobs f a =
-  let j = resolve jobs in
-  let n = Array.length a in
-  if j <= 1 || n <= 1 then Array.mapi f a
+let parallel_mapi f a =
+  let n = Array.length a and j = jobs () in
+  (* one job, nothing to split, or already inside a pool task: the plain
+     sequential loop *)
+  if j <= 1 || n <= 1 || Domain.DLS.get in_task then Array.mapi f a
   else begin
     let out = Array.make n None in
     run_indices j (fun i -> out.(i) <- Some (f i a.(i))) n;
     Array.map (function Some v -> v | None -> assert false) out
   end
 
-let parallel_map ?jobs f a = parallel_mapi ?jobs (fun _ x -> f x) a
+let parallel_map f a = parallel_mapi (fun _ x -> f x) a
 
-let parallel_reduce ?jobs ~map ~combine ~init a =
+let parallel_reduce ~map ~combine ~init a =
   (* map in parallel, fold sequentially in index order: bit-identical to
      [Array.fold_left (fun acc x -> combine acc (map x)) init a] without
      requiring [combine] to be associative. *)
-  Array.fold_left combine init (parallel_map ?jobs map a)
+  Array.fold_left combine init (parallel_map map a)
 
-let map_list ?jobs f l = Array.to_list (parallel_map ?jobs f (Array.of_list l))
+let map_list f l = Array.to_list (parallel_map f (Array.of_list l))

@@ -534,7 +534,7 @@ let sphere_union ctx c =
    invariants), certificate, and the {!Iso.prep} reused by every exact
    in-bucket test.  The induced substructure and its Gaifman graph are
    built once per tuple and threaded through all three consumers. *)
-let materialize ctx ?jobs tups =
+let materialize ctx tups =
   (* Phase A (parallel): BFS the spheres of elements not yet cached. *)
   if ctx.use_cache then begin
     let n = Structure.size ctx.cg in
@@ -554,7 +554,7 @@ let materialize ctx ?jobs tups =
       tups;
     let missing = Array.of_list (List.rev !missing) in
     let computed =
-      Wm_par.Pool.parallel_map ?jobs
+      Wm_par.Pool.parallel_map
         (fun x -> Gaifman.sphere_array ctx.cgf ~rho:ctx.crho x)
         missing
     in
@@ -577,7 +577,7 @@ let materialize ctx ?jobs tups =
       sets;
   (* Phase C (parallel): one member scan per fresh sphere group. *)
   let fresh = Array.of_list (List.rev !fresh) in
-  let scanned = Wm_par.Pool.parallel_map ?jobs (fun s -> members_in ctx s) fresh in
+  let scanned = Wm_par.Pool.parallel_map (fun s -> members_in ctx s) fresh in
   Array.iteri (fun i s -> Hashtbl.find ctx.groups s := Some scanned.(i)) fresh;
   let members_of s =
     if ctx.use_cache then
@@ -634,7 +634,7 @@ let materialize ctx ?jobs tups =
            dfresh;
          let uniq = Array.of_list (List.rev !uniq) in
          let udinfos =
-           Wm_par.Pool.parallel_map ?jobs
+           Wm_par.Pool.parallel_map
              (fun i -> dinfo_of ~bound (Array.length dfresh.(i)) rens.(i))
              uniq
          in
@@ -649,7 +649,7 @@ let materialize ctx ?jobs tups =
        end;
        let codes =
          if not ctx.use_cache then
-           Wm_par.Pool.parallel_mapi ?jobs
+           Wm_par.Pool.parallel_mapi
              (fun i c ->
                if Array.length c = 0 then None
                else begin
@@ -696,7 +696,7 @@ let materialize ctx ?jobs tups =
              tups;
            let uwork = Array.of_list (List.rev !uwork) in
            let ucodes =
-             Wm_par.Pool.parallel_map ?jobs
+             Wm_par.Pool.parallel_map
                (fun (di, cl) -> code_of di cl)
                uwork
            in
@@ -728,7 +728,7 @@ let materialize ctx ?jobs tups =
   let schema = Structure.schema ctx.cg in
   let lkeyed =
     Obs.span t_prep @@ fun () ->
-    Wm_par.Pool.parallel_map ?jobs
+    Wm_par.Pool.parallel_map
     (fun i ->
       let c = tups.(i) in
       let s = sets.(i) in
@@ -799,12 +799,12 @@ let distinct_tuples tuples =
       end)
     tuples
 
-let run_index ctx ?jobs tups ~rho ~arity =
+let run_index ctx tups ~rho ~arity =
   let n = Array.length tups in
   Obs.add c_tuples_typed n;
   (* Phase 1 (parallel): materialize every neighborhood's classification
      data through the shared context. *)
-  let keyed, grp = Obs.span t_spheres @@ fun () -> materialize ctx ?jobs tups in
+  let keyed, grp = Obs.span t_spheres @@ fun () -> materialize ctx tups in
   (* Phase 2 (sequential, cheap): group slots into buckets keyed by
      (cheap invariants, certificate), keeping first-seen order both of
      buckets and within each bucket. *)
@@ -839,7 +839,7 @@ let run_index ctx ?jobs tups ~rho ~arity =
   let leader = Array.make n (-1) in
   let classified =
     Obs.span t_classify @@ fun () ->
-    Wm_par.Pool.parallel_map ?jobs
+    Wm_par.Pool.parallel_map
       (fun slots ->
         let reps = ref [] in
         let local : (int, int) Hashtbl.t = Hashtbl.create 16 in
@@ -908,26 +908,26 @@ let run_index ctx ?jobs tups ~rho ~arity =
     tups;
   { rho; arity; types = !types; representatives = Array.of_list (List.rev !reps) }
 
-let index ?(sphere_cache = true) ?jobs ?width_bound g ~rho tuples =
+let index ?(sphere_cache = true) ?width_bound g ~rho tuples =
   Obs.span t_index @@ fun () ->
   let bound = resolve_bound width_bound in
   let gf = Gaifman.of_structure g in
   let ctx = make_ctx ~use_cache:sphere_cache ?bound g gf ~rho in
   let tups = Array.of_list (distinct_tuples tuples) in
   let arity = if Array.length tups > 0 then Array.length tups.(0) else 0 in
-  run_index ctx ?jobs tups ~rho ~arity
+  run_index ctx tups ~rho ~arity
 
-let index_bounded ?sphere_cache ?jobs ~width g ~rho tuples =
+let index_bounded ?sphere_cache ~width g ~rho tuples =
   if width < 1 then
     invalid_arg "Neighborhood.index_bounded: width must be >= 1";
-  index ?sphere_cache ?jobs ~width_bound:width g ~rho tuples
+  index ?sphere_cache ~width_bound:width g ~rho tuples
 
-let index_universe ?sphere_cache ?jobs ?width_bound g ~rho ~arity =
+let index_universe ?sphere_cache ?width_bound g ~rho ~arity =
   Obs.span t_index @@ fun () ->
   let bound = resolve_bound width_bound in
   let gf = Gaifman.of_structure g in
   let ctx = make_ctx ?use_cache:sphere_cache ?bound g gf ~rho in
-  run_index ctx ?jobs (all_tuples_array g ~arity) ~rho ~arity
+  run_index ctx (all_tuples_array g ~arity) ~rho ~arity
 
 let affected_elements ~old_gf ~gf ~rho ~dirty =
   (* Both graphs: an inserted edge shortens distances only in the new graph,
@@ -937,7 +937,7 @@ let affected_elements ~old_gf ~gf ~rho ~dirty =
     (Gaifman.reach old_gf ~sources:dirty ~bound:rho
     @ Gaifman.reach gf ~sources:dirty ~bound:rho)
 
-let reindex ?jobs ?(threshold = 0.5) ?width_bound ~old g ~prev ~dirty =
+let reindex ?(threshold = 0.5) ?width_bound ~old g ~prev ~dirty =
   Obs.span t_reindex @@ fun () ->
   let bound = resolve_bound width_bound in
   let rho = prev.rho and arity = prev.arity in
@@ -953,7 +953,7 @@ let reindex ?jobs ?(threshold = 0.5) ?width_bound ~old g ~prev ~dirty =
   let affected_tuples = total -. (float_of_int (n - a_new) ** float_of_int arity) in
   if total = 0. || affected_tuples > threshold *. total then begin
     Obs.incr c_fallbacks;
-    index_universe ?jobs ?width_bound g ~rho ~arity
+    index_universe ?width_bound g ~rho ~arity
   end
   else begin
     let ctx = make_ctx ?bound g gf ~rho in
@@ -984,7 +984,7 @@ let reindex ?jobs ?(threshold = 0.5) ?width_bound ~old g ~prev ~dirty =
     (* Anchors are one per surviving class, pairwise non-isomorphic, so
        the bounded path's code grouping never merges them — the grp
        component is irrelevant here. *)
-    let anchor_keyed, _ = materialize ctx ?jobs (Array.map snd anchors) in
+    let anchor_keyed, _ = materialize ctx (Array.map snd anchors) in
     let atbl : (int * int, (int * Iso.prep) list ref) Hashtbl.t =
       Hashtbl.create 64
     in
@@ -1004,7 +1004,7 @@ let reindex ?jobs ?(threshold = 0.5) ?width_bound ~old g ~prev ~dirty =
       Array.of_list (List.rev !acc)
     in
     Obs.add c_affected_tuples (Array.length at);
-    let keyed, grp = materialize ctx ?jobs at in
+    let keyed, grp = materialize ctx at in
     let btbl : (int * int, int list ref) Hashtbl.t = Hashtbl.create 64 in
     let border = ref [] in
     Array.iteri
@@ -1027,7 +1027,7 @@ let reindex ?jobs ?(threshold = 0.5) ?width_bound ~old g ~prev ~dirty =
        class; so every tuple matches at most one candidate and the result
        does not depend on how buckets are scheduled. *)
     let classified =
-      Wm_par.Pool.parallel_map ?jobs
+      Wm_par.Pool.parallel_map
         (fun (key, slots) ->
           let anchors_here =
             match Hashtbl.find_opt atbl key with
@@ -1110,12 +1110,12 @@ let type_of ix c =
    width of every element's rho-sphere substructure — the exact graphs
    the bounded path probes — so users can pick a --width-bound that
    covers (most of) the instance. *)
-let max_sphere_width ?jobs g ~rho =
+let max_sphere_width g ~rho =
   let gf = Gaifman.of_structure g in
   let ctx = make_ctx g gf ~rho in
   let n = Structure.size g in
   let widths =
-    Wm_par.Pool.parallel_map ?jobs
+    Wm_par.Pool.parallel_map
       (fun x ->
         let s = Gaifman.sphere_array gf ~rho x in
         let members = members_in ctx s in

@@ -31,7 +31,6 @@ type index = {
 
 val index :
   ?sphere_cache:bool ->
-  ?jobs:int ->
   ?width_bound:int ->
   Structure.t ->
   rho:int ->
@@ -41,9 +40,8 @@ val index :
     size, tuple count, degree multiset, center pattern) and by
     {!Iso.certificate}, then verifies with exact isomorphism inside each
     bucket.  Sphere extraction and in-bucket classification run on the
-    {!Wm_par.Pool} when [jobs] (default {!Wm_par.Pool.jobs}) exceeds 1;
-    the result — type ids included — is bit-identical to the sequential
-    [jobs:1] fold for every job count.
+    {!Wm_par.Pool}; the result — type ids included — is bit-identical to
+    the sequential one-job fold for every job count.
 
     The fast path (DESIGN.md 5.9) memoizes element spheres per call and
     dedupes the induced-substructure member scan across tuples sharing a
@@ -64,7 +62,6 @@ val index :
 
 val index_bounded :
   ?sphere_cache:bool ->
-  ?jobs:int ->
   width:int ->
   Structure.t ->
   rho:int ->
@@ -84,7 +81,7 @@ val set_width_bound : int option -> unit
 val width_bound : unit -> int option
 (** The bound that would apply to a call without [?width_bound]. *)
 
-val max_sphere_width : ?jobs:int -> Structure.t -> rho:int -> int
+val max_sphere_width : Structure.t -> rho:int -> int
 (** The largest min-degree heuristic width over all elements' rho-sphere
     substructures — the exact graphs the bounded path probes, so any
     [width_bound >= max_sphere_width] makes every arity-1 sphere take
@@ -92,7 +89,6 @@ val max_sphere_width : ?jobs:int -> Structure.t -> rho:int -> int
 
 val index_universe :
   ?sphere_cache:bool ->
-  ?jobs:int ->
   ?width_bound:int ->
   Structure.t ->
   rho:int ->
@@ -109,7 +105,6 @@ val affected_elements :
     the edits (DESIGN.md 5.7). *)
 
 val reindex :
-  ?jobs:int ->
   ?threshold:float ->
   ?width_bound:int ->
   old:Structure.t ->

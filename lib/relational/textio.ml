@@ -311,11 +311,22 @@ let edits_of_string text =
   | Ok es -> es
   | Error e -> raise (Format_error (error_to_string e))
 
+(* Write [<path>.tmp] beside the target, then rename it over the target,
+   so a failed or interrupted save never leaves a torn file behind. *)
 let save path ws =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ws))
+  let text = to_string ws in
+  let tmp = path ^ ".tmp" in
+  let oc = open_out tmp in
+  match
+    output_string oc text;
+    close_out oc;
+    Sys.rename tmp path
+  with
+  | () -> ()
+  | exception e ->
+      close_out_noerr oc;
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise e
 
 let read_file path =
   let ic = open_in path in

@@ -52,6 +52,10 @@ val of_string : string -> Weighted.structure
     {!of_string_result}). *)
 
 val save : string -> Weighted.structure -> unit
+(** Atomic: writes [<path>.tmp] in the same directory, then renames it
+    over [path].  On failure the temp file is removed, the old [path] is
+    left untouched, and the exception is re-raised ([Sys_error] on IO
+    problems). *)
 
 val load : string -> Weighted.structure
 (** @raise Sys_error on IO problems, @raise Format_error on malformed

@@ -4,7 +4,7 @@
    and encodes the response.  [Batch] frames go through the scheduler:
    maximal runs of consecutive read-only sub-requests execute
    concurrently on the {!Wm_par.Pool} (each against the last published
-   dataset version, with inner operations pinned to one job), writers
+   dataset version, their inner operations running inline), writers
    run sequentially in arrival order.  Because readers are pure
    functions of a published version and writers publish atomically, the
    response list is byte-identical at every job count — the property
@@ -41,13 +41,9 @@ let histo_of op =
   | Some h -> h
   | None -> List.assoc "invalid" histos
 
-type t = {
-  store : Store.t;
-  jobs : int option;  (* pool width for batched reads; None = pool default *)
-  mutable stopped : bool;
-}
+type t = { store : Store.t; mutable stopped : bool }
 
-let create ?dir ?jobs () = { store = Store.create ?dir (); jobs; stopped = false }
+let create ?dir () = { store = Store.create ?dir (); stopped = false }
 let store t = t.store
 let stopped t = t.stopped
 
@@ -148,10 +144,7 @@ let carry_weights n' w =
 
 (* --- dispatch -------------------------------------------------------- *)
 
-(* [jobs] is the width available to *inner* parallel operations: writers
-   and lone requests get the engine's configured width, sub-requests of
-   a batched read run get 1 (the batch itself owns the pool). *)
-let rec dispatch t ~jobs (req : Protocol.req) =
+let rec dispatch t (req : Protocol.req) =
   match req with
   | Ping -> ok "ping" []
   | Stats -> ok "stats" ~body:(Obs_report.render (Obs.snapshot ())) []
@@ -221,7 +214,7 @@ let rec dispatch t ~jobs (req : Protocol.req) =
               if not shard then Ok None
               else
                 Result.map Option.some
-                  (Shard.index ?jobs g ds.gf ds.plan ~rho
+                  (Shard.index g ds.gf ds.plan ~rho
                      (Query_system.params qs))
             in
             match ix with
@@ -292,8 +285,8 @@ let rec dispatch t ~jobs (req : Protocol.req) =
         let original = ds.base.Weighted.weights and suspect = ds.cur in
         let verdict =
           if shard then
-            Shard.read_weights ?jobs ds.plan pairs ~original ~suspect ~length
-          else Detector.read_weights ?jobs pairs ~original ~suspect ~length
+            Shard.read_weights ds.plan pairs ~original ~suspect ~length
+          else Detector.read_weights pairs ~original ~suspect ~length
         in
         ok "detect"
           [
@@ -423,7 +416,7 @@ let rec dispatch t ~jobs (req : Protocol.req) =
       with_dataset t id @@ fun ds ->
       with_capsule ds @@ fun _ cap ->
       let a =
-        Recovery.audit ?jobs cap
+        Recovery.audit cap
           ~suspect:{ Weighted.graph = ds.base.Weighted.graph; weights = ds.cur }
       in
       ok "audit"
@@ -474,7 +467,7 @@ let rec dispatch t ~jobs (req : Protocol.req) =
              copies — combined digest first, per-recipient lines in the
              body, all independent of the job count *)
           let lines =
-            Pool.map_list ?jobs
+            Pool.map_list
               (fun i ->
                 let rid = prefix ^ itoa i in
                 Printf.sprintf "%s %x" rid
@@ -516,7 +509,7 @@ let rec dispatch t ~jobs (req : Protocol.req) =
           | Error m -> err m
           | Ok suspect ->
               let rep =
-                Fingerprint.trace ?jobs ~alpha fp
+                Fingerprint.trace ~alpha fp
                   ~original:ds.base.Weighted.weights ~suspect
                   (List.init count (fun i -> prefix ^ itoa i))
               in
@@ -570,13 +563,9 @@ and run_batch t subs =
         in
         let run, rest = split [] l in
         Obs.add c_batched_reads (List.length run);
-        let resps =
-          Pool.map_list ?jobs:t.jobs
-            (fun req -> observe t ~jobs:(Some 1) req)
-            run
-        in
+        let resps = Pool.map_list (observe t) run in
         go (List.rev_append resps acc) rest
-    | Ok req :: rest -> go (observe t ~jobs:t.jobs req :: acc) rest
+    | Ok req :: rest -> go (observe t req :: acc) rest
     | Error m :: rest ->
         Obs.incr c_errors;
         go (err m :: acc) rest
@@ -584,10 +573,10 @@ and run_batch t subs =
   go [] items
 
 (* Per-endpoint latency, recorded around the dispatch proper. *)
-and observe t ~jobs req =
+and observe t req =
   Obs.incr c_requests;
   Obs.observe_span (histo_of (Protocol.op_name req)) @@ fun () ->
-  let resp = dispatch t ~jobs req in
+  let resp = dispatch t req in
   if String.length resp >= 3 && String.sub resp 0 3 = "err" then
     Obs.incr c_errors;
   resp
@@ -598,4 +587,4 @@ let handle t payload =
       Obs.incr c_requests;
       Obs.incr c_errors;
       Obs.observe_span (histo_of "invalid") (fun () -> err m)
-  | Ok req -> observe t ~jobs:t.jobs req
+  | Ok req -> observe t req

@@ -13,10 +13,10 @@
 
 type t
 
-val create : ?dir:string -> ?jobs:int -> unit -> t
-(** [dir] enables [load]/[snapshot] default paths ([<dir>/<id>.qpwm]);
-    [jobs] caps the pool width used for batched reads and inner parallel
-    phases (default: the pool's configured width). *)
+val create : ?dir:string -> unit -> t
+(** [dir] enables [load]/[snapshot] default paths ([<dir>/<id>.qpwm]).
+    Batched reads and inner parallel phases use the process-wide
+    {!Wm_par.Pool.jobs}. *)
 
 val store : t -> Store.t
 

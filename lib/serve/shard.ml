@@ -59,7 +59,7 @@ type shard_result = {
   sr_preps : Iso.prep array;  (* per local type: refinement prep *)
 }
 
-let index ?jobs ?width_bound g gf plan ~rho params =
+let index ?width_bound g gf plan ~rho params =
   Obs.time t_shard_index @@ fun () ->
   let params = distinct params in
   match params with
@@ -119,7 +119,7 @@ let index ?jobs ?width_bound g gf plan ~rho params =
              sphere equals its global sphere (spheres never leave a
              component), so the width probe sees the same graphs the
              unsharded indexer would. *)
-          let lix = Neighborhood.index ~jobs:1 ?width_bound sub ~rho local_params in
+          let lix = Neighborhood.index ?width_bound sub ~rho local_params in
           let lty =
             Array.map
               (fun slot ->
@@ -144,7 +144,7 @@ let index ?jobs ?width_bound g gf plan ~rho params =
             sr_preps = reps;
           }
         in
-        let results = Wm_par.Pool.parallel_map ?jobs shard buckets in
+        let results = Wm_par.Pool.parallel_map shard buckets in
         (* Sequential merge in global parameter order: first occurrence
            of each (shard, local type) either joins an existing global
            class (exact isomorphism against representatives from other
@@ -216,7 +216,7 @@ let index ?jobs ?width_bound g gf plan ~rho params =
    scattered back into global order and accumulated by the detector's
    own verdict assembly, so the result is Detector.read_weights bit for
    bit. *)
-let read_weights ?jobs plan pairs ~original ~suspect ~length =
+let read_weights plan pairs ~original ~suspect ~length =
   let rec take n = function
     | x :: rest when n > 0 -> x :: take (n - 1) rest
     | _ -> []
@@ -248,7 +248,7 @@ let read_weights ?jobs plan pairs ~original ~suspect ~length =
          !comp_order)
   in
   let classified =
-    Wm_par.Pool.parallel_map ?jobs
+    Wm_par.Pool.parallel_map
       (fun slots ->
         let observed =
           Array.fold_left

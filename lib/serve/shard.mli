@@ -14,7 +14,6 @@ val plan : Gaifman.t -> plan
 val ncomps : plan -> int
 
 val index :
-  ?jobs:int ->
   ?width_bound:int ->
   Structure.t ->
   Gaifman.t ->
@@ -34,7 +33,6 @@ val index :
     the global knob). *)
 
 val read_weights :
-  ?jobs:int ->
   plan ->
   Pairing.pair list ->
   original:Weighted.t ->

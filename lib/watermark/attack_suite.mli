@@ -107,7 +107,6 @@ val default_grid : active:int -> spec list
     graft) that also report type drift. *)
 
 val run :
-  ?jobs:int ->
   ?options:Local_scheme.options ->
   ?seed:int ->
   ?redundancies:int list ->
@@ -119,14 +118,13 @@ val run :
   Query.t ->
   (report, string) result
 (** Prepare the Theorem 3 scheme once, then sweep — one grid cell per
-    {!Wm_par.Pool} task when [jobs] (default {!Wm_par.Pool.jobs})
-    exceeds 1.  Every cell owns a PRNG derived from (seed, redundancy,
-    grid position), so the report is bit-identical for every job count.
-    [only] restricts the sweep to the listed grid indices {e without}
-    changing their derived PRNGs — any cell from a previous report or
-    trace span replays standalone with identical numbers.  Redundancies
-    that do not fit the capacity are skipped; [Error _] when none fits or
-    the scheme cannot be prepared. *)
+    {!Wm_par.Pool} task.  Every cell owns a PRNG derived from (seed,
+    redundancy, grid position), so the report is bit-identical for every
+    job count.  [only] restricts the sweep to the listed grid indices
+    {e without} changing their derived PRNGs — any cell from a previous
+    report or trace span replays standalone with identical numbers.
+    Redundancies that do not fit the capacity are skipped; [Error _] when
+    none fits or the scheme cannot be prepared. *)
 
 val to_csv : report -> string
 (** Machine-readable form, one line per cell, RFC-4180-quoted attack

@@ -99,7 +99,7 @@ let take n l =
   in
   go n [] l
 
-let read ?jobs pairs ~original ~observed ~length =
+let read pairs ~original ~observed ~length =
   let asked = take length pairs in
   if List.length asked < length then
     invalid_arg "Detector.read: length exceeds pair count";
@@ -110,13 +110,13 @@ let read ?jobs pairs ~original ~observed ~length =
     (* parallel phase: each carrier is classified on its own; the
        sequential accumulation is in index order, so the verdict is
        bit-identical to the jobs=1 loop *)
-    Wm_par.Pool.parallel_map ?jobs
+    Wm_par.Pool.parallel_map
       (classify_carrier ~original ~observed)
       (Array.of_list asked)
   in
   verdict_of_carriers carriers
 
-let read_weights ?jobs pairs ~original ~suspect ~length =
+let read_weights pairs ~original ~suspect ~length =
   (* Only the first [length] carriers are read, so only their endpoints
      need observing — a serving engine answering thousands of short
      detects per second on a scheme with hundreds of thousands of pairs
@@ -131,7 +131,7 @@ let read_weights ?jobs pairs ~original ~suspect ~length =
           (Tuple.Map.add snd (Weighted.get suspect snd) acc))
       Tuple.Map.empty asked
   in
-  read ?jobs asked ~original ~observed ~length
+  read asked ~original ~observed ~length
 
 (* log C(n,k) via lgamma-free accumulation to stay in float range. *)
 let log_choose n k =

@@ -77,17 +77,16 @@ val verdict_of_carriers : carrier array -> verdict
     length is the read length. *)
 
 val read :
-  ?jobs:int -> Pairing.pair list -> original:Weighted.t ->
+  Pairing.pair list -> original:Weighted.t ->
   observed:int Tuple.Map.t -> length:int -> verdict
 (** Decode [length] bits from the pair list, classifying each carrier.
     A pair with {e no} observed endpoint is an erasure; a pair with one
     observed endpoint still votes by the sign of the surviving half.
     Carriers are independent, so classification runs on the
-    {!Wm_par.Pool} when [jobs] (default {!Wm_par.Pool.jobs}) exceeds 1;
-    the verdict is bit-identical for every job count. *)
+    {!Wm_par.Pool}; the verdict is bit-identical for every job count. *)
 
 val read_weights :
-  ?jobs:int -> Pairing.pair list -> original:Weighted.t ->
+  Pairing.pair list -> original:Weighted.t ->
   suspect:Weighted.t -> length:int -> verdict
 (** Total-observation convenience: every endpoint is read from [suspect],
     so no carrier is erased. *)

@@ -146,7 +146,7 @@ let digest w =
 
 (* --- tracing --------------------------------------------------------- *)
 
-let read ?jobs t ~original ~suspect =
+let read t ~original ~suspect =
   Obs.time t_read @@ fun () ->
   Obs.incr c_reads;
   let observed =
@@ -156,7 +156,7 @@ let read ?jobs t ~original ~suspect =
           (Tuple.Map.add snd (Weighted.get suspect snd) acc))
       Tuple.Map.empty t.pairs
   in
-  Wm_par.Pool.parallel_map ?jobs
+  Wm_par.Pool.parallel_map
     (Detector.classify_carrier ~original ~observed)
     t.pairs
 
@@ -216,11 +216,11 @@ let score t decoded rid =
     decoded;
   (!agree, !trials)
 
-let trace ?jobs ?(alpha = 0.01) t ~original ~suspect candidates =
+let trace ?(alpha = 0.01) t ~original ~suspect candidates =
   if candidates = [] then invalid_arg "Fingerprint.trace: no candidates";
   Obs.time t_trace @@ fun () ->
   Obs.incr c_traces;
-  let carriers = read ?jobs t ~original ~suspect in
+  let carriers = read t ~original ~suspect in
   let decoded = decode t carriers in
   let decided =
     Array.fold_left (fun n v -> if v = None then n else n + 1) 0 decoded
@@ -228,7 +228,7 @@ let trace ?jobs ?(alpha = 0.01) t ~original ~suspect candidates =
   let n = List.length candidates in
   let threshold = Detector.sidak ~alpha ~tests:n in
   let scores =
-    Wm_par.Pool.map_list ?jobs
+    Wm_par.Pool.map_list
       (fun rid ->
         let agreements, trials = score t decoded rid in
         let pvalue = Detector.binomial_tail ~trials ~successes:agreements in
@@ -295,7 +295,7 @@ let attack_tag = function
   | Adversary.Coalition_mix -> "mix"
   | Adversary.Coalition_interleave -> "interleave"
 
-let run_grid ?jobs ?(seed = 0xF19) ?(alpha = 0.001) ?(noise = 1)
+let run_grid ?(seed = 0xF19) ?(alpha = 0.001) ?(noise = 1)
     ?(recipients = [ 1000 ]) ?(coalitions = [ 1; 2; 3 ])
     ?(attacks =
       [
@@ -339,9 +339,7 @@ let run_grid ?jobs ?(seed = 0xF19) ?(alpha = 0.001) ?(noise = 1)
       Adversary.apply_collusion g attack ~active:t.active copies
     in
     let rep =
-      (* jobs:1 — the cell is already one pool task *)
-      trace ~jobs:1 ~alpha t ~original:w ~suspect:colluded
-        (List.init nrec rid)
+      trace ~alpha t ~original:w ~suspect:colluded (List.init nrec rid)
     in
     let is_member = Array.make nrec false in
     Array.iter (fun i -> is_member.(i) <- true) coalition;
@@ -387,7 +385,7 @@ let run_grid ?jobs ?(seed = 0xF19) ?(alpha = 0.001) ?(noise = 1)
       t_cell
       (fun () -> run_cell cell)
   in
-  let rows = Wm_par.Pool.map_list ?jobs timed_cell cells in
+  let rows = Wm_par.Pool.map_list timed_cell cells in
   { length = t.length; times = t.times; alpha; rows }
 
 let render_grid r =

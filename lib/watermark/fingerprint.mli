@@ -76,7 +76,7 @@ val digest : Weighted.t -> int
     copies over the wire without shipping the copies: equal weights give
     equal digests at every job count. *)
 
-val read : ?jobs:int -> t -> original:Weighted.t -> suspect:Weighted.t ->
+val read : t -> original:Weighted.t -> suspect:Weighted.t ->
   Detector.carrier array
 (** Classify the scheme's [times * length] fingerprint carriers against a
     suspect weight assignment (cf. {!Detector.classify_carrier});
@@ -110,7 +110,7 @@ val score : t -> bool option array -> string -> int * int
     {!trace} wraps it with the p-value and the corrected threshold. *)
 
 val trace :
-  ?jobs:int -> ?alpha:float -> t -> original:Weighted.t ->
+  ?alpha:float -> t -> original:Weighted.t ->
   suspect:Weighted.t -> string list -> trace_report
 (** Read the suspect's carriers once, then score every candidate
     (parallel over candidates) and accuse those below the Šidák-corrected
@@ -158,7 +158,7 @@ type grid_report = {
 }
 
 val run_grid :
-  ?jobs:int -> ?seed:int -> ?alpha:float -> ?noise:int ->
+  ?seed:int -> ?alpha:float -> ?noise:int ->
   ?recipients:int list -> ?coalitions:int list ->
   ?attacks:Adversary.collusion list -> ?prefix:string -> t -> Weighted.t ->
   grid_report

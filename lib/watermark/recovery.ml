@@ -354,16 +354,16 @@ let assemble_audit results =
       };
   }
 
-let classify_all ?jobs c (suspect : Weighted.structure) =
+let classify_all c (suspect : Weighted.structure) =
   let alive, lookup, suspect_inc, suspect_name, sweights =
     audit_context c suspect
   in
-  Wm_par.Pool.parallel_map ?jobs
+  Wm_par.Pool.parallel_map
     (classify c ~alive ~lookup ~suspect_inc ~suspect_name ~sweights)
     (Array.init (ngroups c) Fun.id)
 
-let audit ?jobs c ~suspect =
-  Obs.time t_audit @@ fun () -> assemble_audit (classify_all ?jobs c suspect)
+let audit c ~suspect =
+  Obs.time t_audit @@ fun () -> assemble_audit (classify_all c suspect)
 
 let dirty_groups a =
   Array.to_list a.statuses
@@ -382,9 +382,9 @@ type repair_report = {
   confidence : float;
 }
 
-let repair ?jobs c ~suspect =
+let repair c ~suspect =
   Obs.time t_repair @@ fun () ->
-  let results = classify_all ?jobs c suspect in
+  let results = classify_all c suspect in
   let findings = assemble_audit results in
   (* Mutable repair state: the structure grows fresh elements (named as
      the originals), so the name table is maintained alongside.  Groups
@@ -560,10 +560,10 @@ let repair ?jobs c ~suspect =
     | None -> Weighted.make !sg !sw),
     report )
 
-let detect_repaired ?jobs c scheme ~times ~length ~original ~suspect =
-  let repaired_ws, report = repair ?jobs c ~suspect in
+let detect_repaired c scheme ~times ~length ~original ~suspect =
+  let repaired_ws, report = repair c ~suspect in
   let rv, _alignment =
-    Survivable.detect_structure ?jobs scheme ~times ~length ~original
+    Survivable.detect_structure scheme ~times ~length ~original
       ~suspect:repaired_ws
   in
   let rv =

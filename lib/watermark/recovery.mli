@@ -32,7 +32,7 @@
 
     Everything here is deterministic: [protect] is a pure function of
     (structure, options), audits and repairs are bit-identical at every
-    [jobs] count. *)
+    job count. *)
 
 type options = {
   key : int;  (** certificate key; detection-side must match marker-side *)
@@ -107,12 +107,11 @@ type audit = {
                                  {!Detector.with_tamper} attaches *)
 }
 
-val audit : ?jobs:int -> capsule -> suspect:Weighted.structure -> audit
+val audit : capsule -> suspect:Weighted.structure -> audit
 (** Classify every group against a suspect copy.  Elements are realigned
     by display name (ambiguous duplicated names count as missing, as in
     {!Survivable}); group classification is per-group local and runs on
-    the {!Wm_par.Pool} when [jobs] (default {!Wm_par.Pool.jobs}) exceeds
-    1, bit-identical at every job count. *)
+    the {!Wm_par.Pool}, bit-identical at every job count. *)
 
 val dirty_groups : audit -> int list
 (** Gids not classified [Intact], ascending — the localized suspicion. *)
@@ -131,7 +130,7 @@ type repair_report = {
 }
 
 val repair :
-  ?jobs:int -> capsule -> suspect:Weighted.structure ->
+  capsule -> suspect:Weighted.structure ->
   Weighted.structure * repair_report
 (** Best-effort restoration: for every [Distorted] or [Erased] group with
     a surviving authentic record, re-create missing members (fresh
@@ -142,10 +141,10 @@ val repair :
     element order (attacker noise elements moved to the end), so a fully
     repaired copy reads through the plain id-keyed detectors, not only
     the name-aligned ones.  Groups are repaired in gid order, so the
-    result is deterministic; [jobs] only parallelizes the audit phase. *)
+    result is deterministic; only the audit phase runs in parallel. *)
 
 val detect_repaired :
-  ?jobs:int -> capsule -> Local_scheme.t -> times:int -> length:int ->
+  capsule -> Local_scheme.t -> times:int -> length:int ->
   original:Weighted.structure -> suspect:Weighted.structure ->
   Survivable.robust_verdict * repair_report * Weighted.structure
 (** The repair-then-detect pipeline: audit, repair, then

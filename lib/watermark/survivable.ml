@@ -38,7 +38,7 @@ let name_index g =
   in
   Smap.filter (fun n _ -> not (Smap.mem n dup)) index
 
-let align_structures ?jobs ?tuples ~(original : Weighted.structure)
+let align_structures ?tuples ~(original : Weighted.structure)
     ~(suspect : Weighted.structure) () =
   Obs.time t_align @@ fun () ->
   record_alignment @@
@@ -63,7 +63,7 @@ let align_structures ?jobs ?tuples ~(original : Weighted.structure)
   (* each carrier endpoint is located independently (parallel phase);
      the alignment map is then folded sequentially in input order *)
   let located =
-    Wm_par.Pool.map_list ?jobs (fun t -> (t, locate t)) tuples
+    Wm_par.Pool.map_list (fun t -> (t, locate t)) tuples
   in
   let observed, matched, missing =
     List.fold_left
@@ -149,8 +149,8 @@ let align_trees ~original ~suspect =
 
 (* --- degraded-mode reading ------------------------------------------- *)
 
-let read ?jobs pairs ~original alignment ~length =
-  Detector.read ?jobs pairs ~original ~observed:alignment.observed ~length
+let read pairs ~original alignment ~length =
+  Detector.read pairs ~original ~observed:alignment.observed ~length
 
 type robust_verdict = {
   message : Bitvec.t;
@@ -160,8 +160,8 @@ type robust_verdict = {
   all_erased : bool;
 }
 
-let detect_robust ?jobs ~pairs ~times ~length ~original alignment =
-  let carriers = read ?jobs pairs ~original alignment ~length:(times * length) in
+let detect_robust ~pairs ~times ~length ~original alignment =
+  let carriers = read pairs ~original alignment ~length:(times * length) in
   let message = Bitvec.create length in
   let erased_bits = ref 0 in
   for i = 0 to length - 1 do
@@ -191,22 +191,22 @@ let match_pvalue ~expected rv =
     ~expected:(Codec.repeat ~times:rv.times expected)
     rv.carriers
 
-let detect_structure ?jobs scheme ~times ~length
+let detect_structure scheme ~times ~length
     ~(original : Weighted.structure) ~(suspect : Weighted.structure) =
   let pairs = Local_scheme.pairs scheme in
   let endpoints =
     List.concat_map (fun { Pairing.fst; snd } -> [ fst; snd ]) pairs
   in
   let alignment =
-    align_structures ?jobs ~tuples:endpoints ~original ~suspect ()
+    align_structures ~tuples:endpoints ~original ~suspect ()
   in
-  ( detect_robust ?jobs ~pairs ~times ~length
+  ( detect_robust ~pairs ~times ~length
       ~original:original.Weighted.weights alignment,
     alignment )
 
-let detect_tree ?jobs ~pairs ~times ~length ~original suspect =
+let detect_tree ~pairs ~times ~length ~original suspect =
   let alignment = align_trees ~original ~suspect in
-  ( detect_robust ?jobs ~pairs ~times ~length
+  ( detect_robust ~pairs ~times ~length
       ~original:(Wm_xml.Utree.weights original)
       alignment,
     alignment )

@@ -20,11 +20,11 @@
     sign statistics and from {!Detector.match_pvalue}'s trials, so
     detection confidence degrades gracefully with the attack budget
     instead of collapsing.  Carrier location and classification are
-    per-carrier local, so both run on the {!Wm_par.Pool} when [?jobs]
-    (default {!Wm_par.Pool.jobs}) exceeds 1, with results bit-identical
-    to [jobs:1].  This is the regime studied for locally
-    treelike databases (Chattopadhyay–Praveen, arXiv:1909.11369) and graph
-    watermarking under node deletion (Eppstein et al., arXiv:1605.09425). *)
+    per-carrier local, so both run on the {!Wm_par.Pool}, with results
+    bit-identical at every job count.  This is the regime studied for
+    locally treelike databases (Chattopadhyay–Praveen, arXiv:1909.11369)
+    and graph watermarking under node deletion (Eppstein et al.,
+    arXiv:1605.09425). *)
 
 type alignment = {
   observed : int Tuple.Map.t;
@@ -36,7 +36,6 @@ type alignment = {
 }
 
 val align_structures :
-  ?jobs:int ->
   ?tuples:Tuple.t list ->
   original:Weighted.structure ->
   suspect:Weighted.structure ->
@@ -55,7 +54,7 @@ val align_trees :
     exams. *)
 
 val read :
-  ?jobs:int -> Pairing.pair list -> original:Weighted.t -> alignment ->
+  Pairing.pair list -> original:Weighted.t -> alignment ->
   length:int -> Detector.verdict
 (** {!Detector.read} over the aligned observations: unmatched carriers are
     erasures, half-matched pairs vote by their surviving endpoint. *)
@@ -78,7 +77,7 @@ type robust_verdict = {
 }
 
 val detect_robust :
-  ?jobs:int -> pairs:Pairing.pair list -> times:int -> length:int ->
+  pairs:Pairing.pair list -> times:int -> length:int ->
   original:Weighted.t -> alignment -> robust_verdict
 (** Decode a [length]-bit message embedded with {!Robust.mark} [~times]
     from whatever carriers survived.  Erased copies abstain from the
@@ -92,13 +91,13 @@ val match_pvalue : expected:Bitvec.t -> robust_verdict -> float
 (** {1 End-to-end conveniences} *)
 
 val detect_structure :
-  ?jobs:int -> Local_scheme.t -> times:int -> length:int ->
+  Local_scheme.t -> times:int -> length:int ->
   original:Weighted.structure -> suspect:Weighted.structure ->
   robust_verdict * alignment
 (** Align (on the scheme's pair endpoints) and decode in one step. *)
 
 val detect_tree :
-  ?jobs:int -> pairs:Pairing.pair list -> times:int -> length:int ->
+  pairs:Pairing.pair list -> times:int -> length:int ->
   original:Wm_xml.Utree.t -> Wm_xml.Utree.t ->
   robust_verdict * alignment
 (** [detect_tree ~pairs ~times ~length ~original suspect] — same for XML

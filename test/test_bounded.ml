@@ -59,8 +59,11 @@ let prop_bounded_matches ~name ~count mk =
       let tuples =
         Neighborhood.all_tuples base ~arity
       in
-      let generic = Neighborhood.index ~jobs ~width_bound:0 base ~rho tuples in
-      let bounded = Neighborhood.index_bounded ~jobs ~width base ~rho tuples in
+      let generic, bounded =
+        Jobs.with_jobs jobs @@ fun () ->
+        ( Neighborhood.index ~width_bound:0 base ~rho tuples,
+          Neighborhood.index_bounded ~width base ~rho tuples )
+      in
       let reference = Neighborhood_ref.index base ~rho tuples in
       equal_index bounded generic && equal_index bounded reference)
 
@@ -181,13 +184,14 @@ let prop_reindex_bounded =
       let arity = 1 + Prng.int g 2 in
       let width = 1 + Prng.int g 4 in
       let jobs = 1 + Prng.int g 2 in
-      let prev =
-        Neighborhood.index_universe ~jobs ~width_bound:width base ~rho ~arity
-      in
       let script = random_script g base (1 + Prng.int g 5) in
       let edited, dirty = Structure.apply_edits base script in
       let inc =
-        Neighborhood.reindex ~jobs ~threshold:2.0 ~width_bound:width ~old:base
+        Jobs.with_jobs jobs @@ fun () ->
+        let prev =
+          Neighborhood.index_universe ~width_bound:width base ~rho ~arity
+        in
+        Neighborhood.reindex ~threshold:2.0 ~width_bound:width ~old:base
           edited ~prev ~dirty
       in
       equal_index inc (Neighborhood_ref.index_universe edited ~rho ~arity))

@@ -156,6 +156,33 @@ let test_cw_guards () =
   check bool "distance2 labels > 2" true
     (raises (fun () -> Wm_cliquewidth.Cw_adjacency.distance2_query ~labels:3))
 
+(* Textio.save writes <path>.tmp beside the target and renames it over
+   the target: when the temp file cannot be written, save fails and the
+   old file survives byte for byte. *)
+let test_textio_save_atomic () =
+  let path = Filename.temp_file "qpwm_save" ".txt" in
+  let tmp = path ^ ".tmp" in
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists tmp then Sys.rmdir tmp;
+      Sys.remove path)
+  @@ fun () ->
+  Textio.save path Paper_examples.figure1;
+  let before = read () in
+  check Alcotest.string "saved" (Textio.to_string Paper_examples.figure1)
+    before;
+  check bool "no temp file left" false (Sys.file_exists tmp);
+  Sys.mkdir tmp 0o755;
+  let other =
+    Random_struct.regular_rings (Wm_util.Prng.create 2) ~n:30
+  in
+  check bool "save raises Sys_error" true
+    (match Textio.save path other with
+    | () -> false
+    | exception Sys_error _ -> true);
+  check Alcotest.string "old file untouched" before (read ())
+
 let suite =
   [
     ("schema guards", `Quick, test_schema_guards);
@@ -174,4 +201,5 @@ let suite =
     ("prng zero bound", `Quick, test_prng_zero_bound);
     ("shatter guards", `Quick, test_shatter_guards);
     ("clique-width guards", `Quick, test_cw_guards);
+    ("textio save is atomic", `Quick, test_textio_save_atomic);
   ]

@@ -135,9 +135,7 @@ let test_trace_coalition_of_thousand () =
       ~active:(List.init 900 Tuple.singleton)
       copies
   in
-  let rep =
-    Fingerprint.trace ~jobs:1 t ~original:w ~suspect:colluded thousand_rids
-  in
+  let rep = Fingerprint.trace t ~original:w ~suspect:colluded thousand_rids in
   check (Alcotest.list Alcotest.string) "accused exactly the coalition"
     coalition rep.Fingerprint.accused;
   check bool "threshold corrected below alpha" true
@@ -147,7 +145,7 @@ let test_trace_single_leaker () =
   let t, ws = context ~n:400 () in
   let w = ws.Weighted.weights in
   let marked = Fingerprint.mark_for t "r421" w in
-  let rep = Fingerprint.trace ~jobs:1 t ~original:w ~suspect:marked thousand_rids in
+  let rep = Fingerprint.trace t ~original:w ~suspect:marked thousand_rids in
   check (Alcotest.list Alcotest.string) "single leaker accused" [ "r421" ]
     rep.Fingerprint.accused;
   check int "all bits decided" (Fingerprint.length t) rep.Fingerprint.decided
@@ -155,7 +153,7 @@ let test_trace_single_leaker () =
 let test_trace_clean_copy_accuses_nobody () =
   let t, ws = context ~n:400 () in
   let w = ws.Weighted.weights in
-  let rep = Fingerprint.trace ~jobs:1 t ~original:w ~suspect:w thousand_rids in
+  let rep = Fingerprint.trace t ~original:w ~suspect:w thousand_rids in
   check (Alcotest.list Alcotest.string) "no accusations" []
     rep.Fingerprint.accused;
   check int "nothing decided" 0 rep.Fingerprint.decided
@@ -181,7 +179,8 @@ let test_trace_jobs_invariant () =
       copies
   in
   let rep jobs =
-    Fingerprint.trace ~jobs t ~original:w ~suspect:colluded thousand_rids
+    Jobs.with_jobs jobs @@ fun () ->
+    Fingerprint.trace t ~original:w ~suspect:colluded thousand_rids
   in
   check bool "jobs 1 = jobs 2" true (rep 1 = rep 2);
   check bool "jobs 1 = jobs 4" true (rep 1 = rep 4)
@@ -190,7 +189,8 @@ let test_grid_jobs_invariant () =
   let t, ws = context ~n:200 () in
   let w = ws.Weighted.weights in
   let grid jobs =
-    Fingerprint.run_grid ~jobs ~recipients:[ 60 ] ~coalitions:[ 1; 2 ]
+    Jobs.with_jobs jobs @@ fun () ->
+    Fingerprint.run_grid ~recipients:[ 60 ] ~coalitions:[ 1; 2 ]
       ~attacks:[ Adversary.Coalition_majority; Adversary.Coalition_mix ]
       t w
   in
@@ -202,7 +202,7 @@ let test_grid_no_collusion_row_clean () =
   let t, ws = context ~n:900 ~length:256 () in
   let w = ws.Weighted.weights in
   let g =
-    Fingerprint.run_grid ~jobs:1 ~recipients:[ 200 ] ~coalitions:[ 1; 3 ]
+    Fingerprint.run_grid ~recipients:[ 200 ] ~coalitions:[ 1; 3 ]
       ~attacks:[ Adversary.Coalition_majority ] t w
   in
   List.iter

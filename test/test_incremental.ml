@@ -89,8 +89,8 @@ let prop_reindex_jobs1 =
       let script = random_script g base 3 in
       let edited, dirty = Structure.apply_edits base script in
       let a =
-        Neighborhood.reindex ~jobs:1 ~threshold:2.0 ~old:base edited ~prev
-          ~dirty
+        Jobs.with_jobs 1 @@ fun () ->
+        Neighborhood.reindex ~threshold:2.0 ~old:base edited ~prev ~dirty
       in
       let b =
         Neighborhood.reindex ~threshold:2.0 ~old:base edited ~prev ~dirty

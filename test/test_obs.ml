@@ -82,7 +82,8 @@ let test_counter_across_domains () =
   with_stats true @@ fun () ->
   let since = Obs.snapshot () in
   let xs =
-    Wm_par.Pool.parallel_map ~jobs:4
+    Jobs.with_jobs 4 @@ fun () ->
+    Wm_par.Pool.parallel_map
       (fun x ->
         Obs.incr c_test;
         x * x)

@@ -7,6 +7,7 @@
 open Wm_watermark
 open Wm_workload
 module Pool = Wm_par.Pool
+module Obs = Wm_obs.Obs
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -23,7 +24,9 @@ let prop_map_deterministic =
       let a = Array.of_list xs in
       let f x = (x * 2654435761) lxor salt in
       let expected = Array.map f a in
-      List.for_all (fun j -> Pool.parallel_map ~jobs:j f a = expected) job_counts)
+      List.for_all
+        (fun j -> Jobs.with_jobs j (fun () -> Pool.parallel_map f a) = expected)
+        job_counts)
 
 let prop_mapi_deterministic =
   QCheck.Test.make ~count:50 ~name:"parallel_mapi sees the right indices"
@@ -32,7 +35,10 @@ let prop_mapi_deterministic =
       let a = Array.of_list xs in
       let f i x = (i, x, i * x) in
       let expected = Array.mapi f a in
-      List.for_all (fun j -> Pool.parallel_mapi ~jobs:j f a = expected) job_counts)
+      List.for_all
+        (fun j ->
+          Jobs.with_jobs j (fun () -> Pool.parallel_mapi f a) = expected)
+        job_counts)
 
 let prop_reduce_ordered =
   (* A non-commutative combine establishes that the reduction runs in
@@ -45,7 +51,10 @@ let prop_reduce_ordered =
       let combine acc s = acc ^ "," ^ s in
       let expected = Array.fold_left (fun acc x -> combine acc (map x)) "" a in
       List.for_all
-        (fun j -> Pool.parallel_reduce ~jobs:j ~map ~combine ~init:"" a = expected)
+        (fun j ->
+          Jobs.with_jobs j (fun () ->
+              Pool.parallel_reduce ~map ~combine ~init:"" a)
+          = expected)
         job_counts)
 
 let prop_map_list_order =
@@ -53,20 +62,32 @@ let prop_map_list_order =
     QCheck.(list small_int)
     (fun xs ->
       let expected = List.map succ xs in
-      List.for_all (fun j -> Pool.map_list ~jobs:j succ xs = expected) job_counts)
+      List.for_all
+        (fun j -> Jobs.with_jobs j (fun () -> Pool.map_list succ xs) = expected)
+        job_counts)
 
 let test_nested_batches () =
-  (* Tasks that themselves submit batches: the caller-helping queue must
-     not deadlock, and determinism must hold through the nesting. *)
+  (* Tasks that call a combinator themselves: the inner sections run
+     inline in their task, so the whole nest is one pool batch, and
+     determinism holds through the nesting. *)
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+  let batches () =
+    Option.value ~default:0
+      (List.assoc_opt "pool.batches" (Obs.snapshot ()).Obs.counters)
+  in
+  let before = batches () in
   let outer =
-    Pool.parallel_map ~jobs:4
-      (fun row ->
-        Pool.parallel_map ~jobs:4 (fun c -> (row * 10) + c) [| 0; 1; 2 |])
+    Jobs.with_jobs 4 @@ fun () ->
+    Pool.parallel_map
+      (fun row -> Pool.parallel_map (fun c -> (row * 10) + c) [| 0; 1; 2 |])
       [| 1; 2; 3; 4; 5 |]
   in
   check bool "nested result" true
     (outer = [| [| 10; 11; 12 |]; [| 20; 21; 22 |]; [| 30; 31; 32 |];
-                [| 40; 41; 42 |]; [| 50; 51; 52 |] |])
+                [| 40; 41; 42 |]; [| 50; 51; 52 |] |]);
+  check int "one batch for the whole nest" 1 (batches () - before)
 
 (* --- configuration --------------------------------------------------- *)
 
@@ -83,17 +104,17 @@ let test_pool_grows_on_demand () =
   (* Warm the pool up small, then ask for more: the missing worker
      domains must be spawned, not silently clamped to the first-call
      size (the E20 strong-scaling bug). *)
-  Pool.set_jobs (Some 1);
-  ignore (Pool.parallel_map ~jobs:2 (fun x -> x + 1) (Array.init 64 Fun.id));
+  Jobs.with_jobs 2 (fun () ->
+      ignore (Pool.parallel_map (fun x -> x + 1) (Array.init 64 Fun.id)));
   let before = Pool.pool_size () in
   let want = max 8 (before + 2) in
-  Pool.set_jobs (Some want);
   (* A spin barrier: every task waits until [want] of them run at once,
      which is only possible with [want] runners.  A clamped pool fails
      the reached-check after the bounded spin instead of hanging. *)
   let running = Atomic.make 0 in
   let reached =
-    Pool.parallel_map ~jobs:want
+    Jobs.with_jobs want @@ fun () ->
+    Pool.parallel_map
       (fun _ ->
         ignore (Atomic.fetch_and_add running 1);
         let budget = ref 2_000_000_000 in
@@ -104,7 +125,6 @@ let test_pool_grows_on_demand () =
         Atomic.get running >= want)
       (Array.make want ())
   in
-  Pool.set_jobs None;
   check int "pool grew" want (Pool.pool_size ());
   check bool "all runners live concurrently" true
     (Array.for_all Fun.id reached)
@@ -129,7 +149,8 @@ let test_concurrent_cache_misses () =
       let qs = Query_system.of_relational g q in
       (* every domain asks every probe, all misses at first *)
       let got =
-        Pool.parallel_map ~jobs:j
+        Jobs.with_jobs j @@ fun () ->
+        Pool.parallel_map
           (fun _ -> Array.map (fun a -> Query_system.result_set qs a) probes)
           (Array.make (2 * j) ())
       in
@@ -150,7 +171,8 @@ let test_exception_propagates () =
   let raised =
     try
       ignore
-        (Pool.parallel_map ~jobs:4
+        (Jobs.with_jobs 4 @@ fun () ->
+         Pool.parallel_map
            (fun i -> if i = 37 then raise (Boom i) else i)
            (Array.init 100 Fun.id));
       None
@@ -159,13 +181,13 @@ let test_exception_propagates () =
   check bool "the task's own exception surfaces" true (raised = Some 37)
 
 let test_pool_survives_failure () =
-  (try
-     ignore (Pool.parallel_map ~jobs:4 (fun _ -> failwith "boom") [| 1; 2; 3 |])
+  Jobs.with_jobs 4 @@ fun () ->
+  (try ignore (Pool.parallel_map (fun _ -> failwith "boom") [| 1; 2; 3 |])
    with Failure _ -> ());
   (* the failed batch must not wedge the queue or leak tasks *)
   let a = Array.init 1000 Fun.id in
   check bool "pool still answers correctly" true
-    (Pool.parallel_map ~jobs:4 (fun x -> x + 1) a = Array.map (fun x -> x + 1) a)
+    (Pool.parallel_map (fun x -> x + 1) a = Array.map (fun x -> x + 1) a)
 
 (* --- parallelized call sites ----------------------------------------- *)
 
@@ -179,10 +201,14 @@ let prop_index_deterministic =
           ~edges:(2 * n)
       in
       let g = ws.Weighted.graph in
-      let reference = Neighborhood.index_universe ~jobs:1 g ~rho ~arity:1 in
+      let at j =
+        Jobs.with_jobs j @@ fun () ->
+        Neighborhood.index_universe g ~rho ~arity:1
+      in
+      let reference = at 1 in
       List.for_all
         (fun j ->
-          let ix = Neighborhood.index_universe ~jobs:j g ~rho ~arity:1 in
+          let ix = at j in
           Tuple.Map.equal ( = ) reference.Neighborhood.types
             ix.Neighborhood.types
           && reference.Neighborhood.representatives
@@ -243,7 +269,8 @@ let prop_detector_deterministic =
               marked
           in
           let read j =
-            Detector.read_weights ~jobs:j (Local_scheme.pairs scheme)
+            Jobs.with_jobs j @@ fun () ->
+            Detector.read_weights (Local_scheme.pairs scheme)
               ~original:ws.Weighted.weights ~suspect:noisy ~length:cap
           in
           let reference = read 1 in
@@ -255,7 +282,8 @@ let test_attack_suite_deterministic () =
   in
   let run j =
     match
-      Attack_suite.run ~jobs:j ~seed:5 ~redundancies:[ 1; 2 ] ~message_bits:4
+      Jobs.with_jobs j @@ fun () ->
+      Attack_suite.run ~seed:5 ~redundancies:[ 1; 2 ] ~message_bits:4
         ws Random_struct.travel_query
     with
     | Ok r -> r
@@ -285,7 +313,8 @@ let test_survivable_deterministic () =
           { ws with Weighted.weights = marked }
       in
       let detect j =
-        Survivable.detect_structure ~jobs:j scheme ~times ~length:bits
+        Jobs.with_jobs j @@ fun () ->
+        Survivable.detect_structure scheme ~times ~length:bits
           ~original:ws ~suspect
       in
       let reference = detect 1 in

@@ -73,9 +73,11 @@ let prop_jobs_independent =
       let g = Prng.create (0x90B5 + seed) in
       let base = random_graph g in
       let rho = 1 + Prng.int g 2 in
-      equal_index
-        (Neighborhood.index_universe ~jobs:1 base ~rho ~arity:2)
-        (Neighborhood.index_universe ~jobs:2 base ~rho ~arity:2))
+      let at j =
+        Jobs.with_jobs j @@ fun () ->
+        Neighborhood.index_universe base ~rho ~arity:2
+      in
+      equal_index (at 1) (at 2))
 
 (* --- reindex over edit scripts == reference from scratch ------------- *)
 

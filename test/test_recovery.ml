@@ -96,8 +96,8 @@ let test_audit_localizes_edits () =
   let expected =
     List.sort_uniq compare (List.map (Recovery.group_of cap) dirty)
   in
-  let a1 = Recovery.audit ~jobs:1 cap ~suspect in
-  let a2 = Recovery.audit ~jobs:2 cap ~suspect in
+  let audit j = Jobs.with_jobs j @@ fun () -> Recovery.audit cap ~suspect in
+  let a1 = audit 1 and a2 = audit 2 in
   check bool "audit independent of jobs" true
     (a1.Recovery.statuses = a2.Recovery.statuses);
   check bool "dirty groups are exactly the edited ones" true
@@ -190,8 +190,10 @@ let test_repair_deterministic_across_jobs () =
       (Adversary.Delete_tuples { fraction = 0.2 })
       marked
   in
-  let r1, rep1 = Recovery.repair ~jobs:1 cap ~suspect:attacked in
-  let r2, rep2 = Recovery.repair ~jobs:2 cap ~suspect:attacked in
+  let repair j =
+    Jobs.with_jobs j @@ fun () -> Recovery.repair cap ~suspect:attacked
+  in
+  let r1, rep1 = repair 1 and r2, rep2 = repair 2 in
   check string "identical repaired structure"
     (Textio.to_string r1) (Textio.to_string r2);
   check int "identical repaired count" rep1.Recovery.repaired

@@ -161,8 +161,8 @@ let fget r k =
   | Some v -> v
   | None -> Alcotest.failf "missing field %s" k
 
-let setup_engine ?jobs ~n ~seed () =
-  let engine = Engine.create ?jobs () in
+let setup_engine ~n ~seed () =
+  let engine = Engine.create () in
   let _ = send_ok engine (Protocol.Gen { id = "d"; n; seed }) in
   let _ =
     send_ok engine
@@ -235,16 +235,18 @@ let test_update_reprepares () =
    byte-identical at every job count, and tracing a planted copy through
    the endpoint must accuse exactly the planted recipient. *)
 let test_fingerprint_trace_endpoints () =
-  let e1 = setup_engine ~jobs:1 ~n:300 ~seed:6 () in
-  let e2 = setup_engine ~jobs:2 ~n:300 ~seed:6 () in
-  let raw e req = Engine.handle e (Protocol.encode_request req) in
+  let e1 = setup_engine ~n:300 ~seed:6 () in
+  let e2 = setup_engine ~n:300 ~seed:6 () in
+  let raw j e req =
+    Jobs.with_jobs j @@ fun () -> Engine.handle e (Protocol.encode_request req)
+  in
   let fpreq =
     Protocol.Fingerprint
       { id = "d"; master = 7; length = Some 64; times = None; prefix = "r";
         count = 20 }
   in
-  check string "fingerprint bytes identical across job counts" (raw e1 fpreq)
-    (raw e2 fpreq);
+  check string "fingerprint bytes identical across job counts"
+    (raw 1 e1 fpreq) (raw 2 e2 fpreq);
   let r = send_ok e1 fpreq in
   check string "count" "20" (fget r "count");
   check int "one digest line per copy" 20
@@ -285,8 +287,8 @@ let test_fingerprint_trace_endpoints () =
   let r = send_ok e1 (treq (Some planted)) in
   check string "accused the planted recipient" "r5" (fget r "accused");
   check string "trace bytes identical across job counts"
-    (raw e1 (treq (Some planted)))
-    (raw e2 (treq (Some planted)));
+    (raw 1 e1 (treq (Some planted)))
+    (raw 2 e2 (treq (Some planted)));
   let r = send_ok e1 (treq None) in
   check string "clean current copy accuses nobody" "" (fget r "accused")
 
@@ -332,8 +334,9 @@ let schedule g n =
   in
   List.init n req
 
-let responses ~jobs reqs =
-  let engine = setup_engine ?jobs ~n:100 ~seed:13 () in
+let responses jobs reqs =
+  Jobs.with_jobs jobs @@ fun () ->
+  let engine = setup_engine ~n:100 ~seed:13 () in
   List.map (fun r -> Engine.handle engine (Protocol.encode_request r)) reqs
 
 let test_schedule_deterministic () =
@@ -342,7 +345,7 @@ let test_schedule_deterministic () =
        QCheck.(pair small_nat (int_bound 25))
        (fun (seed, n) ->
          let reqs = schedule (Prng.create (0xD0 + seed)) n in
-         responses ~jobs:(Some 1) reqs = responses ~jobs:(Some 2) reqs))
+         responses 1 reqs = responses 2 reqs))
 
 (* --- sharding identities --------------------------------------------- *)
 
@@ -354,8 +357,12 @@ let test_shard_index_equals_unsharded () =
       let gf = Gaifman.of_structure g in
       let plan = Shard.plan gf in
       let params = List.init n Tuple.singleton in
-      let reference = Neighborhood.index ~jobs:1 g ~rho:1 params in
-      match Shard.index ~jobs:2 g gf plan ~rho:1 params with
+      let reference =
+        Jobs.with_jobs 1 @@ fun () -> Neighborhood.index g ~rho:1 params
+      in
+      match
+        Jobs.with_jobs 2 @@ fun () -> Shard.index g gf plan ~rho:1 params
+      with
       | Error m -> Alcotest.fail m
       | Ok ix ->
           check bool "type maps equal" true
@@ -423,11 +430,13 @@ let test_shard_detect_equals_unsharded () =
          let pairs = Local_scheme.pairs scheme in
          let original = ws.Weighted.weights in
          let reference =
-           Detector.read_weights ~jobs:1 pairs ~original ~suspect ~length
+           Jobs.with_jobs 1 @@ fun () ->
+           Detector.read_weights pairs ~original ~suspect ~length
          in
          let sharded =
-           Shard.read_weights ~jobs:2 (Shard.plan gf) pairs ~original
-             ~suspect ~length
+           Jobs.with_jobs 2 @@ fun () ->
+           Shard.read_weights (Shard.plan gf) pairs ~original ~suspect
+             ~length
          in
          verdicts_equal reference sharded))
 
