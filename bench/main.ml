@@ -942,11 +942,55 @@ let e14 () =
           done;
           Texttab.addf t "%d|%d|%d|%d|%d|%d|%d/%d" n r.Multi_scheme.queries cap
             r.Multi_scheme.budget worst.(0) worst.(1) !ok trials)
-    [ 40; 80; 160 ];
+    [ 40; 80; 160; 1280 ];
   Texttab.print t;
   print_endline
     "One pair selection certifies both registered queries at once — the\n\
-     paper's 'straightforward by simple projection techniques' extension."
+     paper's 'straightforward by simple projection techniques' extension.";
+  (* The query systems behind those rows, built alone: compiled evaluation
+     (DESIGN.md 5.15) against the n^(r+s) result tuples brute force
+     would try. *)
+  let t2 =
+    Texttab.create
+      [ "|U|"; "query"; "build ms"; "fo.candidates"; "n^(r+s)"; "ratio" ]
+  in
+  let sizes = [ 40; 80; 160; 1280 ] in
+  List.iter
+    (fun n ->
+      let g = (Random_struct.regular_rings (Prng.create (n + 2)) ~n).Weighted.graph in
+      List.iter
+        (fun (name, q) ->
+          let was = Obs.enabled () in
+          Obs.set_enabled true;
+          let since = Obs.snapshot () in
+          let (), dt =
+            secs (fun () ->
+                Query_system.precompute (Query_system.of_relational g q))
+          in
+          let d = Obs.diff ~since (Obs.snapshot ()) in
+          Obs.set_enabled was;
+          let candidates =
+            Option.value ~default:0 (List.assoc_opt "fo.candidates" d.Obs.counters)
+          in
+          let brute =
+            int_of_float
+              (float_of_int n
+              ** float_of_int (Query.param_arity q + Query.result_arity q))
+          in
+          let ratio = float_of_int candidates /. float_of_int brute in
+          Texttab.addf t2 "%d|%s|%.2f|%d|%d|%.4f" n name (1000. *. dt) candidates
+            brute ratio;
+          if n = List.fold_left max 0 sizes then
+            record_scalars ~experiment:"e14"
+              [
+                (name ^ "_candidates", Json.Int candidates);
+                (name ^ "_brute_force", Json.Int brute);
+                (name ^ "_ratio", Json.Float ratio);
+              ])
+        [ ("adjacency", adjacency); ("two_away", two_away) ])
+    sizes;
+  record_scalars ~experiment:"e14" [ ("max_n", Json.Int (List.fold_left max 0 sizes)) ];
+  Texttab.print ~title:"Query-system build (of_relational + precompute)" t2
 
 (* ------------------------------------------------------------------ *)
 (* E15 — detection statistics: confidence, false positives, collusion. *)

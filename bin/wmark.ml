@@ -136,13 +136,19 @@ let pattern_term =
 
 let split_commas s = String.split_on_char ',' s |> List.map String.trim
 
-let parse_query ~query ~params ~results =
-  Parser.query_of_string ~params:(split_commas params)
-    ~results:(split_commas results) query
+(* Parses a query and checks it against the schema of [ws]. *)
+let parse_query (ws : Weighted.structure) ~query ~params ~results =
+  let q =
+    Parser.query_of_string ~params:(split_commas params)
+      ~results:(split_commas results) query
+  in
+  match Fo.schema_error (Structure.schema ws.Weighted.graph) q.Query.phi with
+  | Some m -> failwith ("query: " ^ m)
+  | None -> q
 
 let prepare_scheme file ~query ~params ~results ~rho ~epsilon ~seed =
   let ws = Textio.load file in
-  let q = parse_query ~query ~params ~results in
+  let q = parse_query ws ~query ~params ~results in
   let options = { Local_scheme.seed; rho; epsilon; selection = `Greedy } in
   match Local_scheme.prepare ~options ws q with
   | Ok scheme -> (ws, q, scheme)
@@ -369,7 +375,7 @@ let capacity_cmd =
   let run file query params results cond d =
     handle @@ fun () ->
     let ws = Textio.load file in
-    let q = parse_query ~query ~params ~results in
+    let q = parse_query ws ~query ~params ~results in
     let qs = Query_system.of_relational ws.Weighted.graph q in
     let condition =
       match cond with
@@ -398,7 +404,7 @@ let perturb_cmd =
     let ws = Textio.load file in
     let g = Prng.create seed in
     let weights a =
-      let q = parse_query ~query ~params ~results in
+      let q = parse_query ws ~query ~params ~results in
       let qs = Query_system.of_relational ws.Weighted.graph q in
       let attacked =
         Adversary.apply g a ~active:(Query_system.active qs)
@@ -467,7 +473,7 @@ let attack_cmd =
           ( Random_struct.travel (Prng.create seed) ~travels:100 ~transports:400,
             "generated travel database (100 travels, 400 transports)" )
     in
-    let q = parse_query ~query ~params ~results in
+    let q = parse_query ws ~query ~params ~results in
     let options = { Local_scheme.seed; rho; epsilon; selection = `Greedy } in
     let redundancies = if redundancies = [] then [ 1; 3; 5 ] else redundancies in
     let only = if only = [] then None else Some only in
@@ -764,8 +770,8 @@ let queries_term =
   let doc = "Query formula; repeatable to preserve several queries at once." in
   Arg.(non_empty & opt_all string [] & info [ "q"; "query" ] ~docv:"FORMULA" ~doc)
 
-let parse_queries ~queries ~params ~results =
-  List.map (fun query -> parse_query ~query ~params ~results) queries
+let parse_queries ws ~queries ~params ~results =
+  List.map (fun query -> parse_query ws ~query ~params ~results) queries
 
 let multi_mark_cmd =
   let run file queries params results rho epsilon seed jobs stats trace message
@@ -774,7 +780,7 @@ let multi_mark_cmd =
     set_jobs jobs;
     with_obs ~stats ~trace @@ fun () ->
     let ws = Textio.load file in
-    let qs = parse_queries ~queries ~params ~results in
+    let qs = parse_queries ws ~queries ~params ~results in
     let options = { Local_scheme.seed; rho; epsilon; selection = `Greedy } in
     match Multi_scheme.prepare ~options ws qs with
     | Error e -> failwith ("prepare: " ^ e)
@@ -807,7 +813,7 @@ let multi_detect_cmd =
     with_obs ~stats ~trace @@ fun () ->
     let ws = Textio.load original in
     let sus = Textio.load suspect in
-    let qs = parse_queries ~queries ~params ~results in
+    let qs = parse_queries ws ~queries ~params ~results in
     let options = { Local_scheme.seed; rho; epsilon; selection = `Greedy } in
     match Multi_scheme.prepare ~options ws qs with
     | Error e -> failwith ("prepare: " ^ e)
@@ -835,7 +841,7 @@ let vc_cmd =
   let run file query params results =
     handle @@ fun () ->
     let ws = Textio.load file in
-    let q = parse_query ~query ~params ~results in
+    let q = parse_query ws ~query ~params ~results in
     let ix = Query_vc.of_query ws.Weighted.graph q in
     let universe = Setfam.universe_size ix.Query_vc.fam in
     if universe > 24 then

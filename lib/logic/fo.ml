@@ -41,14 +41,29 @@ let rec quantifier_rank = function
       max (quantifier_rank a) (quantifier_rank b)
   | Exists (_, a) | Forall (_, a) -> 1 + quantifier_rank a
 
-let rec well_formed schema = function
-  | True | False | Eq _ -> true
+let rec schema_error schema = function
+  | True | False | Eq _ -> None
   | Atom (r, vars) ->
-      Schema.mem schema r && Schema.arity_of schema r = List.length vars
-  | Not a -> well_formed schema a
-  | And (a, b) | Or (a, b) | Implies (a, b) ->
-      well_formed schema a && well_formed schema b
-  | Exists (_, a) | Forall (_, a) -> well_formed schema a
+      let got = List.length vars in
+      if not (Schema.mem schema r) then
+        Some
+          (Printf.sprintf "unknown relation %s/%d; the schema has %s" r got
+             (String.concat ", "
+                (List.map
+                   (fun (s : Schema.symbol) -> Printf.sprintf "%s/%d" s.name s.arity)
+                   (Schema.symbols schema))))
+      else
+        let want = Schema.arity_of schema r in
+        if want <> got then
+          Some (Printf.sprintf "relation %s/%d used with %d arguments" r want got)
+        else None
+  | Not a | Exists (_, a) | Forall (_, a) -> schema_error schema a
+  | And (a, b) | Or (a, b) | Implies (a, b) -> (
+      match schema_error schema a with
+      | None -> schema_error schema b
+      | e -> e)
+
+let well_formed schema phi = schema_error schema phi = None
 
 let rec pp fmt = function
   | True -> Format.pp_print_string fmt "true"

@@ -40,5 +40,10 @@ val quantifier_rank : t -> int
 val well_formed : Schema.t -> t -> bool
 (** Every atom uses a schema symbol with the right arity. *)
 
+val schema_error : Schema.t -> t -> string option
+(** Why {!well_formed} fails, for the first offending atom: an unknown
+    relation (listing the schema's symbols with their arities) or a known
+    one used with the wrong number of arguments. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

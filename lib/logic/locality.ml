@@ -115,10 +115,11 @@ let respects_rank g phi ~rho =
     let ix = Neighborhood.index g ~rho tuples in
     (* Within each type, satisfaction must be constant. *)
     let verdict = Hashtbl.create 16 in
+    let holds = Eval.compile g vars phi in
     List.for_all
       (fun t ->
         let ty = Neighborhood.type_of ix t in
-        let sat = Eval.holds g (Eval.bind_all Eval.empty_env vars t) phi in
+        let sat = holds t in
         match Hashtbl.find_opt verdict ty with
         | Some s -> s = sat
         | None ->

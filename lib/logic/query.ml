@@ -18,15 +18,14 @@ let make ~params ~results phi =
 let param_arity q = List.length q.params
 let result_arity q = List.length q.results
 
-let result_set g q a =
-  let env = Eval.bind_all Eval.empty_env q.params a in
-  Eval.satisfying g env q.results q.phi
+let result_set g q = Eval.enumerate g ~params:q.params ~results:q.results q.phi
 
 let all_params g q = Neighborhood.all_tuples g ~arity:(param_arity q)
 
 let active g q =
+  let result_set = result_set g q in
   List.fold_left
-    (fun acc a -> Tuple.Set.union acc (result_set g q a))
+    (fun acc a -> Tuple.Set.union acc (result_set a))
     Tuple.Set.empty (all_params g q)
 
 let weight_of w s = Tuple.Set.fold (fun b acc -> acc + Weighted.get w b) s 0
@@ -40,7 +39,9 @@ let answer (ws : Weighted.structure) q a =
     (result_set ws.graph q a) []
   |> List.rev
 
-let tabulate g q = List.map (fun a -> (a, result_set g q a)) (all_params g q)
+let tabulate g q =
+  let result_set = result_set g q in
+  List.map (fun a -> (a, result_set a)) (all_params g q)
 
 let pp fmt q =
   Format.fprintf fmt "psi(%s; %s) = %a"

@@ -21,7 +21,9 @@ val result_arity : t -> int
 
 val result_set : Structure.t -> t -> Tuple.t -> Tuple.Set.t
 (** W_a = psi(a, G), the set of weighted elements involved for parameter
-    [a].  Note it does not depend on the weight assignment. *)
+    [a].  Note it does not depend on the weight assignment.  Partial
+    application [result_set g q] compiles the query once
+    ({!Eval.enumerate}); reuse it across parameters. *)
 
 val all_params : Structure.t -> t -> Tuple.t list
 (** U^r, every possible final-user input. *)

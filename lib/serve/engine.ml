@@ -63,10 +63,11 @@ let ftoa = Printf.sprintf "%.6f"
 (* --- query systems --------------------------------------------------- *)
 
 (* The identity query on weight-arity-1 structures: every element is its
-   own parameter and its own (singleton) result set.  Constant-time per
-   parameter, which is what lets the engine prepare million-element
-   datasets the generic FO evaluator cannot touch (Remark 1's escape
-   hatch; measured by E25). *)
+   own parameter and its own (singleton) result set.  The compiled FO
+   evaluator would answer "u = v" with one candidate per parameter too
+   (DESIGN.md 5.15); building the sets directly also skips its
+   per-parameter environment and formula check, which is what E25
+   measures at a million elements (Remark 1's escape hatch). *)
 let identity_query =
   lazy (Parser.query_of_string ~params:[ "u" ] ~results:[ "v" ] "u = v")
 
@@ -89,14 +90,18 @@ let resolve_query (ds : Store.dataset) = function
       if params = [] || results = [] then
         Error "fo query: params and results must be nonempty"
       else
-        try
-          let q = Parser.query_of_string ~params ~results formula in
-          Ok
-            ( Query_system.of_relational ds.base.Weighted.graph q,
-              q,
-              Protocol.string_of_qspec
-                (Protocol.Fo { params; results; formula }) )
-        with Parser.Error m -> Error ("fo query: " ^ m))
+        let g = ds.base.Weighted.graph in
+        match Parser.query_of_string ~params ~results formula with
+        | exception Parser.Error m -> Error ("fo query: " ^ m)
+        | q -> (
+            match Fo.schema_error (Structure.schema g) q.Query.phi with
+            | Some m -> Error ("fo query: " ^ m)
+            | None ->
+                Ok
+                  ( Query_system.of_relational g q,
+                    q,
+                    Protocol.string_of_qspec
+                      (Protocol.Fo { params; results; formula }) )))
 
 (* --- endpoint helpers ------------------------------------------------ *)
 

@@ -153,10 +153,9 @@ let refresh t ~result_fn ~holds ~params ~size ~affected =
   }
 
 let refresh_relational t g q ~affected =
-  let holds a b =
-    let env = Eval.bind_all Eval.empty_env q.Query.params a in
-    let env = Eval.bind_all env q.Query.results b in
-    Eval.holds g env q.Query.phi
+  let holds =
+    let holds = Eval.compile g (q.Query.params @ q.Query.results) q.Query.phi in
+    fun a b -> holds (Tuple.concat a b)
   in
   refresh t
     ~result_fn:(Query.result_set g q)

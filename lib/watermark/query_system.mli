@@ -68,8 +68,8 @@ val refresh :
 
 val refresh_relational : t -> Structure.t -> Query.t -> affected:int list -> t
 (** {!refresh} specialized to an FO query over the edited structure:
-    membership probes are {!Wm_logic.Eval.holds} on the patched
-    bindings. *)
+    membership probes run the query compiled once per refresh
+    ({!Wm_logic.Eval.compile}) on the patched bindings. *)
 
 val f : t -> Weighted.t -> Tuple.t -> int
 (** f_(G,W)(a) = sum of weights over W_a. *)

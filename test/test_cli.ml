@@ -138,6 +138,18 @@ let test_cli_update () =
       check bool "diagnostic" true (contains out "wmark:")
   | None -> ()
 
+let test_cli_unknown_relation () =
+  skip_or @@ fun () ->
+  let db = tmp "db5.txt" in
+  ignore (run_cli (Printf.sprintf "gen-travel --travels 12 --transports 10 --seed 6 -o %s" db));
+  match run_cli (Printf.sprintf "info %s -q \"Nope(u,v)\"" db) with
+  | Some (code, out) ->
+      check int "exit 1" 1 code;
+      check Alcotest.string "names the relation and the schema's arities"
+        "wmark: query: unknown relation Nope/2; the schema has Route/2, Timetable/4\n"
+        out
+  | None -> ()
+
 let suite =
   [
     ("cli relational cycle", `Slow, test_cli_relational_cycle);
@@ -146,4 +158,5 @@ let suite =
     ("cli rejects bad input", `Slow, test_cli_bad_input);
     ("cli rejects --jobs 0", `Slow, test_cli_jobs_zero);
     ("cli update subcommand", `Slow, test_cli_update);
+    ("cli rejects an unknown relation", `Slow, test_cli_unknown_relation);
   ]

@@ -12,6 +12,7 @@ let () =
       ("perf", Test_perf.suite);
       ("bounded", Test_bounded.suite);
       ("logic", Test_logic.suite);
+      ("eval", Test_eval.suite);
       ("trees", Test_trees.suite);
       ("xml", Test_xml.suite);
       ("vc", Test_vc.suite);

@@ -243,6 +243,38 @@ let test_iso_checks_no_worse_than_ref () =
     (Printf.sprintf "fast %d <= ref %d" fast slow)
     true (fast <= slow)
 
+(* Compiled FO evaluation (DESIGN.md 5.15): building a query system
+   tries O(|R| + n) values — each variable's candidates come from its
+   atoms — and never scans the universe. *)
+let test_fo_candidates_bounded () =
+  with_stats @@ fun () ->
+  let bounded name g q ~tuples =
+    let before = Wm_obs.Obs.snapshot () in
+    let qs = Wm_watermark.Query_system.of_relational g q in
+    Wm_watermark.Query_system.precompute qs;
+    let d = Wm_obs.Obs.diff ~since:before (Wm_obs.Obs.snapshot ()) in
+    let n = Structure.size g in
+    let tried = counter_of d "fo.candidates" in
+    (* every tuple is some parameter's answer, so |R| is also a floor *)
+    check bool
+      (Printf.sprintf "%s: |R| = %d <= %d candidates <= 2(|R| + n) = %d" name
+         tuples tried
+         (2 * (tuples + n)))
+      true
+      (tuples <= tried && tried <= 2 * (tuples + n));
+    check int (name ^ ": no universe scans") 0 (counter_of d "fo.scans")
+  in
+  let card g r = Relation.cardinal (Structure.relation g r) in
+  let travel =
+    (Wm_workload.Random_struct.travel (Prng.create 1) ~travels:200 ~transports:800)
+      .Weighted.graph
+  in
+  bounded "travel 200/800" travel Wm_workload.Random_struct.travel_query
+    ~tuples:(card travel "Route");
+  let grid = (Wm_workload.Grid.structure ~w:20 ~h:20).Weighted.graph in
+  bounded "grid neighbours 20x20" grid Wm_workload.Grid.neighbors_query
+    ~tuples:(card grid "H" + card grid "V")
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_universe_matches_ref;
@@ -256,4 +288,5 @@ let suite =
     Alcotest.test_case "fast-path cache counters" `Quick test_cache_counters;
     Alcotest.test_case "iso checks <= reference" `Quick
       test_iso_checks_no_worse_than_ref;
+    Alcotest.test_case "fo candidates O(|R| + n)" `Quick test_fo_candidates_bounded;
   ]

@@ -470,6 +470,31 @@ let test_engine_sharded_prepare_matches () =
   check string "pairs_available" a0 a1;
   check bool "detect fields identical" true (d0 = d1)
 
+(* A query over a relation the dataset lacks is an err response, and the
+   engine keeps serving. *)
+let test_prepare_unknown_relation () =
+  let engine = Engine.create () in
+  let _ = send_ok engine (Protocol.Gen { id = "d"; n = 40; seed = 3 }) in
+  let r =
+    send engine
+      (Protocol.Prepare
+         {
+           id = "d";
+           seed = 11;
+           rho = Some 1;
+           epsilon = 1.0;
+           shard = false;
+           qspec = Protocol.Fo { params = [ "u" ]; results = [ "v" ]; formula = "Nope(u,v)" };
+         })
+  in
+  (match r.Protocol.status with
+  | `Err m ->
+      check bool "names the relation" true
+        (String.starts_with ~prefix:"fo query: unknown relation Nope/2" m)
+  | `Ok _ -> Alcotest.fail "prepare over an unknown relation succeeded");
+  let _ = send_ok engine Protocol.Ping in
+  ()
+
 let suite =
   [
     ("protocol request round-trip", `Quick, test_request_roundtrip);
@@ -485,4 +510,5 @@ let suite =
     ("sharded index rejects wide params", `Quick, test_shard_index_rejects_wide_params);
     ("sharded detect = unsharded (qcheck)", `Quick, test_shard_detect_equals_unsharded);
     ("engine sharded prepare matches", `Quick, test_engine_sharded_prepare_matches);
+    ("prepare over an unknown relation is err", `Quick, test_prepare_unknown_relation);
   ]
