@@ -2285,12 +2285,26 @@ let e27 () =
     in
     let fp_payload, fp_s = secs (fun () -> raw fpreq) in
     let fp_resp = ok "fingerprint" fp_payload in
+    (* the trace's binomial-tail evaluations, counted under Obs: at most
+       one per distinct agreement count, so <= length + 1 *)
+    let was = Obs.enabled () in
+    Obs.set_enabled true;
+    let since = Obs.snapshot () in
     let tr_payload, tr_s = secs (fun () -> raw treq) in
+    let d = Obs.diff ~since (Obs.snapshot ()) in
+    Obs.set_enabled was;
+    let tail_evals =
+      Option.value ~default:0 (List.assoc_opt "fp.tail_evals" d.Obs.counters)
+    in
     let tr_resp = ok "trace" tr_payload in
-    (gen_s, prep_s, fp_payload, fp_resp, fp_s, tr_payload, tr_resp, tr_s)
+    (gen_s, prep_s, fp_payload, fp_resp, fp_s, tr_payload, tr_resp, tr_s,
+     tail_evals)
   in
-  let gen1, prep1, fpp1, fpr1, fps1, trp1, trr1, trs1 = run 1 in
-  let _gen2, _prep2, fpp2, _fpr2, fps2, trp2, _trr2, trs2 = run 2 in
+  let gen1, prep1, fpp1, fpr1, fps1, trp1, trr1, trs1, tails1 = run 1 in
+  let _gen2, _prep2, fpp2, _fpr2, fps2, trp2, _trr2, trs2, tails2 = run 2 in
+  let tail_evals = max tails1 tails2 in
+  let best_tr_s = Float.min trs1 trs2 in
+  let candidates_per_s = float_of_int population /. best_tr_s in
   let serve_identical = String.equal fpp1 fpp2 && String.equal trp1 trp2 in
   let field r k =
     match Serve_protocol.field r k with
@@ -2311,6 +2325,9 @@ let e27 () =
   Texttab.addf t "generation throughput|%.0f copies/s" (float_of_int copies /. best_fp_s);
   Texttab.addf t "digest lines returned|%d" digest_lines;
   Texttab.addf t "trace %d candidates (jobs 1 / 2)|%.2f / %.2f s" population trs1 trs2;
+  Texttab.addf t "trace request throughput|%.0f candidates/s" candidates_per_s;
+  Texttab.addf t "trace tail evaluations|%d (bound length + 1 = %d)" tail_evals
+    (length + 1);
   Texttab.addf t "planted leak %s uniquely accused|%b" leak leak_traced;
   Texttab.addf t "responses identical across job counts|%b" serve_identical;
   Texttab.print t;
@@ -2353,7 +2370,9 @@ let e27 () =
       ("times", Json.Int times);
       ("fingerprint_s", Json.Float best_fp_s);
       ("copies_per_s", Json.Float (float_of_int copies /. best_fp_s));
-      ("trace_s", Json.Float (Float.min trs1 trs2));
+      ("trace_s", Json.Float best_tr_s);
+      ("trace_candidates_per_s", Json.Float candidates_per_s);
+      ("trace_tail_evals", Json.Int tail_evals);
       ("serve_identical", Json.Bool serve_identical);
       ("leak_traced", Json.Bool leak_traced);
       ("grid_false_accusations", Json.Int false_total);

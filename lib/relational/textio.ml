@@ -217,14 +217,18 @@ let of_string_result text =
                    (Relation.of_list s.arity (List.rev ts)))
            g0 (Schema.symbols schema))
     in
+    (* One bulk build, not a [set] per line: a fold of [set] leaves up to
+       n/4 entries in the overlay map, and every later [get] on the
+       loaded weights — each carrier a detector reads — pays a map
+       lookup for them. *)
     let w =
-      List.fold_left
-        (fun w (line, t, v) ->
-          match Weighted.set w (Tuple.of_list t) v with
-          | w' -> w'
-          | exception Invalid_argument m -> fail ~line "bad weight: %s" m)
-        (Weighted.create !weight_arity)
-        (List.rev !weights)
+      Weighted.of_list !weight_arity
+        (List.map
+           (fun (line, t, v) ->
+             if List.length t <> !weight_arity then
+               fail ~line "bad weight: Weighted.set: arity mismatch";
+             (Tuple.of_list t, v))
+           (List.rev !weights))
     in
     match Weighted.make !g w with
     | ws -> Ok ws

@@ -249,18 +249,8 @@ let read_weights plan pairs ~original ~suspect ~length =
   in
   let classified =
     Wm_par.Pool.parallel_map
-      (fun slots ->
-        let observed =
-          Array.fold_left
-            (fun acc slot ->
-              let { Pairing.fst; snd } = asked.(slot) in
-              Tuple.Map.add fst (Weighted.get suspect fst)
-                (Tuple.Map.add snd (Weighted.get suspect snd) acc))
-            Tuple.Map.empty slots
-        in
-        Array.map
-          (fun slot -> Detector.classify_carrier ~original ~observed asked.(slot))
-          slots)
+      (Array.map (fun slot ->
+           Detector.carrier_of_weights ~original ~suspect asked.(slot)))
       chunks
   in
   let carriers =

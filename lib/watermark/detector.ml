@@ -37,6 +37,16 @@ let suspicion t =
    unit of work the domain pool parallelizes. *)
 type carrier = Erased | Cell of bool * [ `Strong | `Weak | `Silent ]
 
+(* The signal class of one pair's weight difference
+   d = delta(fst) - delta(snd).  Literal constructors are preallocated,
+   so classifying allocates nothing. *)
+let cell_of_delta d =
+  if d = 2 then Cell (true, `Strong)
+  else if d = -2 then Cell (false, `Strong)
+  else if d > 0 then Cell (true, `Weak)
+  else if d < 0 then Cell (false, `Weak)
+  else Cell (false, `Silent)
+
 let classify_carrier ~original ~observed { Pairing.fst; snd } =
   let seen t = Tuple.Map.mem t observed in
   if (not (seen fst)) && not (seen snd) then Erased
@@ -46,12 +56,12 @@ let classify_carrier ~original ~observed { Pairing.fst; snd } =
       | Some v -> v - Weighted.get original t
       | None -> 0
     in
-    let d = delta fst - delta snd in
-    Cell
-      ( d > 0,
-        if d = 2 || d = -2 then `Strong else if d <> 0 then `Weak else `Silent
-      )
+    cell_of_delta (delta fst - delta snd)
   end
+
+let carrier_of_weights ~original ~suspect { Pairing.fst; snd } =
+  let delta t = Weighted.get suspect t - Weighted.get original t in
+  cell_of_delta (delta fst - delta snd)
 
 (* Sequential accumulation of per-carrier classifications, in index
    order — shared by the plain reader and the sharded serving path, so
@@ -117,21 +127,40 @@ let read pairs ~original ~observed ~length =
   verdict_of_carriers carriers
 
 let read_weights pairs ~original ~suspect ~length =
-  (* Only the first [length] carriers are read, so only their endpoints
-     need observing — a serving engine answering thousands of short
-     detects per second on a scheme with hundreds of thousands of pairs
-     must not pay O(capacity) per request. *)
+  (* Only the first [length] carriers are read, each straight from the
+     suspect's weights at its two endpoints — a serving engine answering
+     thousands of short detects per second on a scheme with hundreds of
+     thousands of pairs must not pay O(capacity) per request. *)
   let asked = take length pairs in
   if List.length asked < length then
     invalid_arg "Detector.read_weights: length exceeds pair count";
-  let observed =
-    List.fold_left
-      (fun acc { Pairing.fst; snd } ->
-        Tuple.Map.add fst (Weighted.get suspect fst)
-          (Tuple.Map.add snd (Weighted.get suspect snd) acc))
-      Tuple.Map.empty asked
+  Obs.time t_read @@ fun () ->
+  Obs.incr c_reads;
+  Obs.add c_carriers length;
+  verdict_of_carriers
+    (Array.of_list (List.map (carrier_of_weights ~original ~suspect) asked))
+
+(* The schemes' plain decoders: bit i is the sign of carrier i, an
+   erasure reading 0.  Only the first [length] pairs are visited. *)
+let decode classify pairs ~length =
+  let message = Bitvec.create length in
+  let rec walk i = function
+    | p :: rest when i < length ->
+        (match classify p with
+        | Cell (bit, _) -> Bitvec.set message i bit
+        | Erased -> ());
+        walk (i + 1) rest
+    | _ -> ()
   in
-  read asked ~original ~observed ~length
+  walk 0 pairs;
+  message
+
+let decode_weights pairs ~original ~suspect ~length =
+  decode (carrier_of_weights ~original ~suspect) pairs ~length
+
+let decode_server qs pairs ~original ~server ~length =
+  let observed = Query_system.reconstruct qs server in
+  decode (classify_carrier ~original ~observed) pairs ~length
 
 (* log C(n,k) via lgamma-free accumulation to stay in float range. *)
 let log_choose n k =
@@ -197,7 +226,11 @@ let bonferroni ~alpha ~tests =
 
 let sidak ~alpha ~tests =
   check_correction "Detector.sidak" ~alpha ~tests;
-  1. -. ((1. -. alpha) ** (1. /. float_of_int tests))
+  (* 1 - (1 - alpha)^(1/tests), evaluated through log1p/expm1: the
+     direct form cancels to exactly 0 once alpha/tests nears the float
+     epsilon (alpha = 1e-10 over 10^7 tests), and then nothing is ever
+     accused. *)
+  -.Float.expm1 (Float.log1p (-.alpha) /. float_of_int tests)
 
 let is_marked ?(alpha = 0.01) verdict =
   let read = verdict.strong + verdict.weak + verdict.silent in

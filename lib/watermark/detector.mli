@@ -69,8 +69,28 @@ type carrier = Erased | Cell of bool * [ `Strong | `Weak | `Silent ]
 
 val classify_carrier :
   original:Weighted.t -> observed:int Tuple.Map.t -> Pairing.pair -> carrier
-(** Classify one pair from the observed weights — pure and independent
-    per pair, the unit of work the pool parallelizes. *)
+(** Classify one pair from a map of observed weights: an endpoint absent
+    from the map contributes delta 0, and a pair with neither endpoint
+    present is [Erased].  This is the right call only where observations
+    are {e not} a weight assignment — {!Wm_watermark.Survivable}'s aligned
+    observations of a re-keyed copy, a query-budget read over some
+    parameters only ({!Query_system.reconstruct_some}), and the paper's
+    server model ({!decode_server}), where only query answers are seen.
+    A reader holding the suspect's weights uses {!carrier_of_weights}. *)
+
+val carrier_of_weights :
+  original:Weighted.t -> suspect:Weighted.t -> Pairing.pair -> carrier
+(** Classify one pair straight from the suspect's weights: the difference
+    [d = (s fst - o fst) - (s snd - o snd)] read with {!Weighted.get} at
+    the two endpoints, classified exactly as {!classify_carrier} does.
+    Never [Erased]; O(1) on dense weights, and it builds nothing.  It
+    equals [classify_carrier] over a map of the suspect's weights at the
+    pair endpoints, and it equals the server-model read
+    ({!decode_server}) whenever both endpoints are active — some
+    parameter's result set contains them — which every scheme's selected
+    pairs are by construction.  Every weights-based reader goes through
+    it: {!read_weights}, {!decode_weights}, the sharded serving detector
+    and {!Wm_watermark.Fingerprint.read}. *)
 
 val verdict_of_carriers : carrier array -> verdict
 (** Accumulate classifications in index order into a verdict; the array
@@ -88,8 +108,30 @@ val read :
 val read_weights :
   Pairing.pair list -> original:Weighted.t ->
   suspect:Weighted.t -> length:int -> verdict
-(** Total-observation convenience: every endpoint is read from [suspect],
-    so no carrier is erased. *)
+(** Total-observation reader: the first [length] carriers, each classified
+    by {!carrier_of_weights}, so no carrier is erased.  O(length). *)
+
+(** {1 Plain decoders}
+
+    The schemes' [detect] functions only need the decoded bits: bit [i] is
+    the sign of carrier [i], an erased carrier reading 0.  Both visit only
+    the first [length] pairs of the list. *)
+
+val decode_weights :
+  Pairing.pair list -> original:Weighted.t -> suspect:Weighted.t ->
+  length:int -> Bitvec.t
+(** Bits from the suspect's weights via {!carrier_of_weights}: O(length),
+    no query system involved. *)
+
+val decode_server :
+  Query_system.t -> Pairing.pair list -> original:Weighted.t ->
+  server:Query_system.server -> length:int -> Bitvec.t
+(** The paper's server model: ask the suspect server every parameter of
+    the query system, rebuild the observed weights
+    ({!Query_system.reconstruct}) and classify each carrier with
+    {!classify_carrier}.  The one decoder behind
+    {!Wm_watermark.Local_scheme.detect} and
+    {!Wm_watermark.Tree_scheme.detect}. *)
 
 val binomial_tail : trials:int -> successes:int -> float
 (** P[X >= successes] for X ~ Binomial(trials, 1/2) — the null-hypothesis
@@ -117,7 +159,9 @@ val bonferroni : alpha:float -> tests:int -> float
 val sidak : alpha:float -> tests:int -> float
 (** [1 - (1 - alpha)^(1/tests)] — the exact correction under independent
     tests, slightly less conservative than {!bonferroni} (equal at
-    [tests = 1]).  This is what {!Wm_watermark.Fingerprint.trace} and the
+    [tests = 1]).  Evaluated as [-expm1 (log1p (-alpha) / tests)], which
+    stays accurate (about [alpha / tests]) where the direct form cancels
+    to 0.  This is what {!Wm_watermark.Fingerprint.trace} and the
     attack grid's per-cell verdicts apply before accusing.  Same
     [Invalid_argument] conditions as {!bonferroni}. *)
 

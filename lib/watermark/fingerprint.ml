@@ -2,8 +2,10 @@
 
    Observability: fp.copies counts generated copies, fp.reads carrier
    reads, fp.traces tracing runs, fp.scored candidates scored,
-   fp.accused accusations made, fp.cells collusion-grid cells; fp.mark /
-   fp.read / fp.trace / fp.grid time the corresponding phases. *)
+   fp.tail_evals binomial tails evaluated (one per distinct agreement
+   count per trace), fp.accused accusations made, fp.cells
+   collusion-grid cells; fp.mark / fp.read / fp.trace / fp.grid time
+   the corresponding phases. *)
 
 module Obs = Wm_obs.Obs
 
@@ -11,6 +13,7 @@ let c_copies = Obs.counter "fp.copies"
 let c_reads = Obs.counter "fp.reads"
 let c_traces = Obs.counter "fp.traces"
 let c_scored = Obs.counter "fp.scored"
+let c_tail_evals = Obs.counter "fp.tail_evals"
 let c_accused = Obs.counter "fp.accused"
 let c_cells = Obs.counter "fp.cells"
 let t_mark = Obs.timer "fp.mark"
@@ -149,16 +152,7 @@ let digest w =
 let read t ~original ~suspect =
   Obs.time t_read @@ fun () ->
   Obs.incr c_reads;
-  let observed =
-    Array.fold_left
-      (fun acc { Pairing.fst; snd } ->
-        Tuple.Map.add fst (Weighted.get suspect fst)
-          (Tuple.Map.add snd (Weighted.get suspect snd) acc))
-      Tuple.Map.empty t.pairs
-  in
-  Wm_par.Pool.parallel_map
-    (Detector.classify_carrier ~original ~observed)
-    t.pairs
+  Array.map (Detector.carrier_of_weights ~original ~suspect) t.pairs
 
 (* Per message bit, a tie-explicit majority over the surviving signal
    carriers.  Silent carriers (zero difference — what collusion leaves
@@ -201,39 +195,69 @@ type trace_report = {
   accused : string list;
 }
 
-let score t decoded rid =
+(* The decided bits as two masks, decided-and-1 and decided-and-0: a
+   candidate's agreement is then popcount (ones & cw) + popcount
+   (zeros & ~cw), a few byte operations instead of a per-bit match. *)
+let masks t decoded =
   if Array.length decoded <> t.length then
     invalid_arg "Fingerprint.score: decoded length mismatch";
-  let cw = codeword t rid in
-  let agree = ref 0 and trials = ref 0 in
+  let ones = Bitvec.create t.length and zeros = Bitvec.create t.length in
   Array.iteri
-    (fun i v ->
-      match v with
-      | Some b ->
-          incr trials;
-          if b = Bitvec.get cw i then incr agree
+    (fun i -> function
+      | Some true -> Bitvec.set ones i true
+      | Some false -> Bitvec.set zeros i true
       | None -> ())
     decoded;
-  (!agree, !trials)
+  (ones, zeros)
+
+let decided (ones, zeros) = Bitvec.popcount ones + Bitvec.popcount zeros
+
+let agreements (ones, zeros) cw =
+  Bitvec.popcount (Bitvec.inter ones cw) + Bitvec.popcount (Bitvec.diff zeros cw)
+
+let score t decoded rid =
+  let m = masks t decoded in
+  (agreements m (codeword t rid), decided m)
 
 let trace ?(alpha = 0.01) t ~original ~suspect candidates =
   if candidates = [] then invalid_arg "Fingerprint.trace: no candidates";
   Obs.time t_trace @@ fun () ->
   Obs.incr c_traces;
   let carriers = read t ~original ~suspect in
-  let decoded = decode t carriers in
-  let decided =
-    Array.fold_left (fun n v -> if v = None then n else n + 1) 0 decoded
-  in
+  let m = masks t (decode t carriers) in
+  let decided = decided m in
   let n = List.length candidates in
   let threshold = Detector.sidak ~alpha ~tests:n in
-  let scores =
-    Wm_par.Pool.map_list
-      (fun rid ->
-        let agreements, trials = score t decoded rid in
-        let pvalue = Detector.binomial_tail ~trials ~successes:agreements in
-        { rid; agreements; trials; pvalue; accused = pvalue <= threshold })
+  let agreed =
+    Wm_par.Pool.map_list (fun rid -> (rid, agreements m (codeword t rid)))
       candidates
+  in
+  (* Every candidate is scored over the same [decided] trials, so its
+     p-value depends on its agreement count alone: evaluate the tail once
+     per distinct count, the same call on the same arguments as a
+     per-candidate evaluation. *)
+  let tails = Array.make (decided + 1) None in
+  let tail a =
+    match tails.(a) with
+    | Some p -> p
+    | None ->
+        Obs.incr c_tail_evals;
+        let p = Detector.binomial_tail ~trials:decided ~successes:a in
+        tails.(a) <- Some p;
+        p
+  in
+  let scores =
+    List.map
+      (fun (rid, agreements) ->
+        let pvalue = tail agreements in
+        {
+          rid;
+          agreements;
+          trials = decided;
+          pvalue;
+          accused = pvalue <= threshold;
+        })
+      agreed
   in
   Obs.add c_scored n;
   let accused =

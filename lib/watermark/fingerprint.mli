@@ -25,6 +25,16 @@
     ({!Detector.sidak}), so the family-wise false-accusation rate over
     all candidates stays at [alpha].
 
+    Cost model of a trace: one direct read of the [times * length]
+    carriers ({!Detector.carrier_of_weights} at the pair endpoints, no
+    query system), one decode into two bit masks (decided-and-1,
+    decided-and-0), then per candidate the codeword expansion and two
+    masked popcounts — O(length / 8) byte operations instead of a
+    per-bit match.  Every candidate is scored over the same [decided]
+    trials, so p-values are looked up from at most [decided + 1]
+    binomial-tail evaluations per trace (one per distinct agreement
+    count), not one per candidate.
+
     Collusion (Boneh–Shaw regime): k colluders combining their copies
     ({!Adversary.collusion}) can silence carriers where their codewords
     disagree, but the majority orientation still follows each member's
@@ -79,8 +89,9 @@ val digest : Weighted.t -> int
 val read : t -> original:Weighted.t -> suspect:Weighted.t ->
   Detector.carrier array
 (** Classify the scheme's [times * length] fingerprint carriers against a
-    suspect weight assignment (cf. {!Detector.classify_carrier});
-    parallel over carriers, bit-identical at every job count. *)
+    suspect weight assignment, each straight from the weights at its two
+    endpoints ({!Detector.carrier_of_weights}): O(times * length), no
+    map of observations is built. *)
 
 val decode : t -> Detector.carrier array -> bool option array
 (** Per message bit, the tie-explicit majority over its surviving signal
@@ -115,8 +126,13 @@ val trace :
 (** Read the suspect's carriers once, then score every candidate
     (parallel over candidates) and accuse those below the Šidák-corrected
     threshold for [alpha] (default 0.01) over [List.length candidates]
-    tests.  Raises [Invalid_argument] on an empty candidate list.
-    Deterministic and bit-identical at every job count. *)
+    tests.  Cost: O(length / 8) per candidate for the masked agreement
+    count (plus its codeword), and at most [decided + 1]
+    {!Detector.binomial_tail} evaluations per trace, counted by the
+    [fp.tail_evals] Obs counter — each p-value is the same float a
+    per-candidate evaluation would give.  Raises [Invalid_argument] on
+    an empty candidate list.  Deterministic and bit-identical at every
+    job count. *)
 
 val verify : t -> string -> original:Weighted.t -> suspect:Weighted.t -> bool
 (** Exact single-recipient check: decode the carriers (weights-only

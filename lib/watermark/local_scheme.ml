@@ -149,21 +149,9 @@ let mark t message w =
 let detect t ~original ~server ~length =
   if length > capacity t then
     invalid_arg "Local_scheme.detect: length exceeds capacity";
-  let observed = Query_system.reconstruct t.qs server in
-  let delta b =
-    match Tuple.Map.find_opt b observed with
-    | Some v -> v - Weighted.get original b
-    | None -> 0
-  in
-  let message = Bitvec.create length in
-  let rec walk i = function
-    | { Pairing.fst; snd } :: rest when i < length ->
-        Bitvec.set message i (delta fst - delta snd > 0);
-        walk (i + 1) rest
-    | _ -> ()
-  in
-  walk 0 t.selected;
-  message
+  Detector.decode_server t.qs t.selected ~original ~server ~length
 
 let detect_weights t ~original ~suspect ~length =
-  detect t ~original ~server:(Query_system.server t.qs suspect) ~length
+  if length > capacity t then
+    invalid_arg "Local_scheme.detect: length exceeds capacity";
+  Detector.decode_weights t.selected ~original ~suspect ~length

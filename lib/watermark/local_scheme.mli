@@ -98,10 +98,15 @@ val mark : t -> Bitvec.t -> Weighted.t -> Weighted.t
 val detect : t -> original:Weighted.t -> server:Query_system.server ->
   length:int -> Bitvec.t
 (** Read back an embedded message of the given length, using only query
-    answers from the suspect server.  Ambiguous pairs (difference of
+    answers from the suspect server ({!Detector.decode_server}: every
+    parameter is asked once).  Ambiguous pairs (difference of
     unexpected magnitude, e.g. after an attack) decode by sign, ties to
     0. *)
 
 val detect_weights : t -> original:Weighted.t -> suspect:Weighted.t ->
   length:int -> Bitvec.t
-(** Convenience wrapper building an honest server over suspect weights. *)
+(** Read the first [length] selected pairs straight from the suspect's
+    weights ({!Detector.decode_weights}): O(length), no query evaluated.
+    Equal to {!detect} over an honest server on [suspect], because every
+    selected pair endpoint is active (pairs are drawn from the query
+    system's active set). *)

@@ -13,7 +13,6 @@ type report = {
 
 type t = {
   systems : Query_system.t list;
-  combined : Query_system.t;
   selected : Pairing.pair list;
   rep : report;
   indexes : Neighborhood.index list;
@@ -66,7 +65,6 @@ let assemble ~options ~queries ~systems ~indexes =
       Ok
         {
           systems;
-          combined;
           selected;
           indexes;
           options;
@@ -154,10 +152,7 @@ let mark t message w =
 let detect_weights t ~original ~suspect ~length =
   if length > capacity t then
     invalid_arg "Multi_scheme.detect_weights: length exceeds capacity";
-  let observed =
-    Query_system.reconstruct t.combined (Query_system.server t.combined suspect)
-  in
-  (Detector.read t.selected ~original ~observed ~length).Detector.decoded
+  Detector.decode_weights t.selected ~original ~suspect ~length
 
 let distortion t w w' =
   List.mapi (fun i qs -> (i, Distortion.global qs w w')) t.systems

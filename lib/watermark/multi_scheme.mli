@@ -54,8 +54,10 @@ val mark : t -> Bitvec.t -> Weighted.t -> Weighted.t
 
 val detect_weights :
   t -> original:Weighted.t -> suspect:Weighted.t -> length:int -> Bitvec.t
-(** Reads the mark back using only the answers the suspect would give to
-    the registered queries (all of them). *)
+(** Reads the first [length] selected pairs straight from the suspect's
+    weights ({!Detector.decode_weights}) — what the answers to the
+    registered queries would reveal, since every pair endpoint is active
+    in some query's result set. *)
 
 val distortion : t -> Weighted.t -> Weighted.t -> (int * int) list
 (** Per-query global distortion (query index, max |f' - f|) — for checking

@@ -55,5 +55,11 @@ val query_system : t -> Query_system.t
 val mark : t -> Bitvec.t -> Weighted.t -> Weighted.t
 val detect : t -> original:Weighted.t -> server:Query_system.server ->
   length:int -> Bitvec.t
+(** Server-model read ({!Detector.decode_server}), as
+    {!Local_scheme.detect}. *)
+
 val detect_weights : t -> original:Weighted.t -> suspect:Weighted.t ->
   length:int -> Bitvec.t
+(** Direct read of the first [length] selected pairs
+    ({!Detector.decode_weights}); equal to {!detect} over an honest
+    server, since every pair member is an active node. *)

@@ -28,4 +28,5 @@ let () =
       ("edges", Test_edges.suite);
       ("cli", Test_cli.suite);
       ("coverage", Test_coverage.suite);
+      ("readers", Test_readers.suite);
     ]

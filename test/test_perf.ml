@@ -275,6 +275,71 @@ let test_fo_candidates_bounded () =
   bounded "grid neighbours 20x20" grid Wm_workload.Grid.neighbors_query
     ~tuples:(card grid "H" + card grid "V")
 
+(* Direct carrier reads and table-driven tracing (DESIGN.md 5.13), at
+   the owner-index benchmark's shape — a bounded-degree random graph
+   under the identity query, 128-bit codewords, 10^4 candidates: a trace
+   evaluates at most one binomial tail per distinct agreement count, and
+   a detect reads the pair endpoints without touching the query
+   system. *)
+let test_reader_work_bounded () =
+  with_stats @@ fun () ->
+  let ws =
+    Wm_workload.Random_struct.graph (Prng.create 1) ~n:2000 ~max_degree:3
+      ~edges:3000
+  in
+  let w = ws.Weighted.weights in
+  let qs =
+    Wm_watermark.Query_system.of_custom
+      ~params:(List.init (Structure.size ws.Weighted.graph) Tuple.singleton)
+      ~result_set:(fun p -> Tuple.Set.singleton p)
+      ~weight_arity:1
+  in
+  let q = Parser.query_of_string ~params:[ "u" ] ~results:[ "v" ] "u = v" in
+  let options =
+    { Wm_watermark.Local_scheme.default_options with seed = 1; rho = Some 2 }
+  in
+  let scheme =
+    match Wm_watermark.Local_scheme.prepare ~options ~qs ws q with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let fp =
+    match Wm_watermark.Fingerprint.of_local ~master:0xF1D1 scheme with
+    | Ok f -> f
+    | Error e -> Alcotest.fail e
+  in
+  let length = Wm_watermark.Fingerprint.length fp in
+  let planted = Wm_watermark.Fingerprint.mark_for fp "r42" w in
+  let candidates = 10_000 in
+  let before = Wm_obs.Obs.snapshot () in
+  let rep =
+    Wm_watermark.Fingerprint.trace ~alpha:1e-6 fp ~original:w ~suspect:planted
+      (List.init candidates (fun i -> "r" ^ string_of_int i))
+  in
+  let d = Wm_obs.Obs.diff ~since:before (Wm_obs.Obs.snapshot ()) in
+  check (Alcotest.list Alcotest.string) "planted accused" [ "r42" ]
+    rep.Wm_watermark.Fingerprint.accused;
+  check int "every candidate scored" candidates (counter_of d "fp.scored");
+  let tails = counter_of d "fp.tail_evals" in
+  check bool
+    (Printf.sprintf "fp.tail_evals %d <= length + 1 = %d" tails (length + 1))
+    true
+    (tails >= 1 && tails <= length + 1);
+  let cap = Wm_watermark.Local_scheme.capacity scheme in
+  let marked =
+    Wm_watermark.Local_scheme.mark scheme (Codec.random (Prng.create 2) cap) w
+  in
+  let before = Wm_obs.Obs.snapshot () in
+  ignore
+    (Wm_watermark.Local_scheme.detect_weights scheme ~original:w ~suspect:marked
+       ~length:cap);
+  let d = Wm_obs.Obs.diff ~since:before (Wm_obs.Obs.snapshot ()) in
+  List.iter
+    (fun (name, v) ->
+      if String.starts_with ~prefix:"qs." name then
+        check int ("detect_weights moves no " ^ name) 0 v)
+    d.Wm_obs.Obs.counters
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_universe_matches_ref;
@@ -289,4 +354,5 @@ let suite =
     Alcotest.test_case "iso checks <= reference" `Quick
       test_iso_checks_no_worse_than_ref;
     Alcotest.test_case "fo candidates O(|R| + n)" `Quick test_fo_candidates_bounded;
+    Alcotest.test_case "reader work bounded" `Quick test_reader_work_bounded;
   ]
