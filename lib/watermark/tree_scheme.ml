@@ -164,10 +164,15 @@ let prepare ?(options = default_options) tree query =
                 Hashtbl.replace groups beh
                   (u :: Option.value ~default:[] (Hashtbl.find_opt groups beh)))
               members;
+            (* Collision groups in order of their smallest member, so the
+               pairs chosen are a function of the behaviours alone. *)
             let collisions =
               Hashtbl.fold
-                (fun _ us acc -> if List.length us >= 2 then us :: acc else acc)
+                (fun _ us acc ->
+                  if List.length us >= 2 then List.sort compare us :: acc
+                  else acc)
                 groups []
+              |> List.sort (fun a b -> compare (List.hd a) (List.hd b))
             in
             let rec take_pairs budget acc = function
               | u :: u' :: rest when budget > 0 ->
@@ -180,8 +185,7 @@ let prepare ?(options = default_options) tree query =
             let pairs =
               List.fold_left
                 (fun acc us ->
-                  take_pairs (options.pairs_per_block - List.length acc) acc
-                    (List.sort compare us))
+                  take_pairs (options.pairs_per_block - List.length acc) acc us)
                 [] collisions
             in
             if pairs = [] then None else Some (b, pairs))
