@@ -1,8 +1,7 @@
 (* Experiment harness: one table per reproduced artifact of the paper.
 
-     dune exec bench/main.exe            -- all experiments + micro-benches
+     dune exec bench/main.exe            -- all experiments
      dune exec bench/main.exe -- e5 e7   -- a subset
-     dune exec bench/main.exe -- --no-speed
      dune exec bench/main.exe -- --jobs 4 --json BENCH_PR2.json
 
    Experiments run one after another; --jobs sets the process-wide job
@@ -632,11 +631,68 @@ let e9 () =
     [ 40; 120 ];
   Texttab.print
     ~title:"bibliography//article[author=$a]/citations (descendant axis)" t2;
+  (* Scaling of Pipeline.prepare_xml on the same family: wall time (median
+     of 3) and the automaton transitions taken over the document, which
+     must grow linearly — the CI guard bounds each doubling's ratio. *)
+  let t3 =
+    Texttab.create
+      [ "articles"; "nodes"; "|W|"; "capacity"; "prepare ms";
+        "trees.delta_calls"; "x prev" ]
+  in
+  let prev = ref None in
+  let rows =
+    List.map
+      (fun articles ->
+        let doc = Biblio_xml.generate (Prng.create articles) ~articles () in
+        let was = Obs.enabled () in
+        Obs.set_enabled true;
+        let since = Obs.snapshot () in
+        let runs =
+          List.init 3 (fun _ -> secs (fun () -> Pipeline.prepare_xml doc bpattern))
+        in
+        let d = Obs.diff ~since (Obs.snapshot ()) in
+        Obs.set_enabled was;
+        let calls =
+          Option.value ~default:0
+            (List.assoc_opt "trees.delta_calls" d.Obs.counters)
+          / 3
+        in
+        let ms =
+          1000. *. List.nth (List.sort compare (List.map snd runs)) 1
+        in
+        let active, cap =
+          match fst (List.hd runs) with
+          | Ok xs ->
+              ( (Tree_scheme.report xs.Pipeline.scheme).Tree_scheme.active,
+                Tree_scheme.capacity xs.Pipeline.scheme )
+          | Error _ -> (0, 0)
+        in
+        let ratio =
+          match !prev with
+          | Some p -> Printf.sprintf "%.2f" (float_of_int calls /. float_of_int p)
+          | None -> "-"
+        in
+        prev := Some calls;
+        let nodes = Utree.size doc in
+        Texttab.addf t3 "%d|%d|%d|%d|%.1f|%d|%s" articles nodes active cap ms
+          calls ratio;
+        Json.Obj
+          [
+            ("articles", Json.Int articles);
+            ("nodes", Json.Int nodes);
+            ("prepare_ms", Json.Float ms);
+            ("delta_calls", Json.Int calls);
+          ])
+      [ 400; 800; 1600; 3200 ]
+  in
+  record_scalars ~experiment:"e9" [ ("xml_scaling", Json.List rows) ];
+  Texttab.print ~title:"Pipeline.prepare_xml scaling (biblio)" t3;
   print_endline
     "Node-level distortion respects the Theorem 5 certificate everywhere;\n\
      value-level distortion (a first name unions its occurrences) stays\n\
      far below the occurrence-count bound.  The nested bibliography family\n\
-     exercises the // axis end to end."
+     exercises the // axis end to end, and preparing it stays linear in\n\
+     the document: each doubling at most doubles the transitions taken."
 
 (* ------------------------------------------------------------------ *)
 (* E10 — Fact 1: detection under attack, redundancy sweep. *)
@@ -2606,10 +2662,8 @@ let () =
      unless the user explicitly opted out with WMARK_STATS=0. *)
   if json_path <> None && Sys.getenv_opt "WMARK_STATS" <> Some "0" then
     Obs.set_enabled true;
-  let no_speed = List.mem "--no-speed" args in
-  let wanted = List.filter (fun a -> a <> "--no-speed") args in
   let to_run =
-    if wanted = [] then experiments
+    if args = [] then experiments
     else
       List.filter_map
         (fun id ->
@@ -2618,7 +2672,7 @@ let () =
           | None ->
               Printf.eprintf "unknown experiment %s\n" id;
               None)
-        wanted
+        args
   in
   let t0 = Unix.gettimeofday () in
   let results =
@@ -2633,7 +2687,6 @@ let () =
         (id, dt, obs))
       to_run
   in
-  if (not no_speed) && wanted = [] then Speed.run ();
   (match json_path with
   | None -> ()
   | Some path ->

@@ -36,8 +36,11 @@ val all_params : t -> Btree.t -> Tuple.t list
 (** All k-tuples of nodes (size^k of them). *)
 
 val active : t -> Btree.t -> Tuple.Set.t
-(** W = union of W_a; size^(k+s) automaton runs — see DESIGN.md 5.2 on
-    evaluator cost being part of the reproduced substrate. *)
+(** W = union of W_a.  For k = s = 1, one bottom-up pass (the pebble-free
+    state and the states reachable with the parameter pebble below) and
+    one top-down pass (acceptance contexts with no pebble, resp. the
+    parameter pebble, outside the subtree) — O(size * states^2), see
+    DESIGN.md 5.3.  Other arities fold {!result_set} over {!all_params}. *)
 
 val f : t -> Btree.t -> weights:Weighted.t -> Tuple.t -> int
 (** Weight of the query result for a parameter (the f of Section 1). *)

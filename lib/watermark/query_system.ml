@@ -20,9 +20,12 @@ type t = {
   cache : Tuple.Set.t Tuple.Hashtbl.t; (* guarded by [lock] *)
   lock : Mutex.t;
   mutable active : Tuple.Set.t option;
+  active_fn : (unit -> Tuple.Set.t) option;
+      (* a direct construction of the active set, in place of the union of
+         every parameter's result set *)
 }
 
-let make params result_fn weight_arity =
+let make ?active_fn params result_fn weight_arity =
   {
     params;
     result_fn;
@@ -31,16 +34,17 @@ let make params result_fn weight_arity =
     cache = Tuple.Hashtbl.create (List.length params);
     lock = Mutex.create ();
     active = None;
+    active_fn;
   }
 
 let of_relational g q =
   make (Query.all_params g q) (Query.result_set g q) (Query.result_arity q)
 
 let of_tree tq tree =
+  let module Tq = Wm_trees.Tree_query in
   make
-    (Wm_trees.Tree_query.all_params tq tree)
-    (Wm_trees.Tree_query.result_set tq tree)
-    (Wm_trees.Tree_query.s tq)
+    ~active_fn:(fun () -> Tq.active tq tree)
+    (Tq.all_params tq tree) (Tq.result_set tq tree) (Tq.s tq)
 
 let of_custom ~params ~result_set ~weight_arity =
   make params result_set weight_arity
@@ -77,9 +81,12 @@ let active_set t =
   | Some s -> s
   | None ->
       let s =
-        List.fold_left
-          (fun acc a -> Tuple.Set.union acc (result_set t a))
-          Tuple.Set.empty t.params
+        match t.active_fn with
+        | Some f -> f ()
+        | None ->
+            List.fold_left
+              (fun acc a -> Tuple.Set.union acc (result_set t a))
+              Tuple.Set.empty t.params
       in
       t.active <- Some s;
       s
@@ -150,6 +157,7 @@ let refresh t ~result_fn ~holds ~params ~size ~affected =
     cache = Tuple.Hashtbl.create (List.length params);
     lock = Mutex.create ();
     active = None;
+    active_fn = None;
   }
 
 let refresh_relational t g q ~affected =

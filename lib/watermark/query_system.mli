@@ -19,7 +19,9 @@ val of_relational : Structure.t -> Query.t -> t
 (** Parameters are all of U^r. *)
 
 val of_tree : Wm_trees.Tree_query.t -> Wm_trees.Btree.t -> t
-(** Parameters are all k-tuples of nodes. *)
+(** Parameters are all k-tuples of nodes.  The active set comes from
+    {!Wm_trees.Tree_query.active} (two passes for k = s = 1) rather than
+    from every parameter's result set. *)
 
 val of_custom :
   params:Tuple.t list -> result_set:(Tuple.t -> Tuple.Set.t) ->

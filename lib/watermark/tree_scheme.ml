@@ -27,44 +27,15 @@ type t = {
   rep : report;
 }
 
-(* Postorder of the nodes of subtree(root) excluding everything strictly
-   below [hole] ([hole] itself included, as the summary point). *)
-let region_postorder tree broot hole =
-  let keep v =
-    Btree.ancestor_or_equal tree broot v
-    && match hole with
-       | Some h -> not (Btree.strictly_below tree h v)
-       | None -> true
-  in
-  Array.to_list (Btree.postorder tree) |> List.filter keep
+module Obs = Wm_obs.Obs
 
-(* State reached at [broot] when running [auto] over the region with the
-   result pebble (bit [bit]) on node [b] and the hole (if any) entering in
-   state [q]. *)
-let region_state auto alpha tree region broot hole q ~bit b =
-  let state = Hashtbl.create (List.length region) in
-  let get v = match Hashtbl.find_opt state v with Some s -> s | None -> -1 in
-  List.iter
-    (fun v ->
-      if hole = Some v then Hashtbl.replace state v q
-      else begin
-        let ql = match Btree.left tree v with Some c -> get c | None -> -1 in
-        let qr = match Btree.right tree v with Some c -> get c | None -> -1 in
-        let base = Btree.label tree v in
-        let mask = if v = b then 1 lsl bit else 0 in
-        let letter = Alphabet.encode alpha ~base ~mask in
-        Hashtbl.replace state v (Dta.delta auto ql qr letter)
-      end)
-    region;
-  get broot
+let c_delta_calls = Obs.counter "trees.delta_calls"
 
-let behavior auto alpha tree region broot hole ~bit b =
-  match hole with
-  | None -> [ region_state auto alpha tree region broot hole (-1) ~bit b ]
-  | Some _ ->
-      List.init (Dta.nstates auto) (fun q ->
-          region_state auto alpha tree region broot hole q ~bit b)
-
+(* Block construction (DESIGN.md 5.3), linear in the tree for a fixed
+   automaton.  Node ids are preorder, so ancestorship is an O(1) interval
+   test; the states a region reaches are read off one pebble-free run
+   [q0], and moving the result pebble onto a member only changes the
+   states on the path from it up to the block root. *)
 let prepare ?(options = default_options) tree query =
   if Tree_query.k query <> 1 || Tree_query.s query <> 1 then
     Error "tree scheme requires one parameter and one result pebble"
@@ -74,79 +45,142 @@ let prepare ?(options = default_options) tree query =
     let m = Dta.nstates auto in
     let qs = Query_system.of_tree query tree in
     let active = Query_system.active_set qs in
-    let active_node v = Tuple.Set.mem (Tuple.singleton v) active in
+    let n = Btree.size tree in
+    let is_active = Array.make n false in
+    Tuple.Set.iter (fun b -> is_active.(b.(0)) <- true) active;
     let nactive = Tuple.Set.cardinal active in
     if nactive = 0 then Error "query has no active weighted elements"
     else begin
       let threshold =
         match options.block_size with Some b -> max 2 b | None -> 2 * m
       in
-      (* Phase 1: minimal blocks of >= threshold ungrouped active nodes. *)
-      let n = Btree.size tree in
+      let child f v = match f tree v with Some c -> c | None -> -1 in
+      (* Phase 1: minimal blocks of >= threshold ungrouped active nodes.
+         The ungrouped active nodes seen so far wait on a stack in
+         postorder; those of subtree(v) are its top cnt(v) entries. *)
       let cnt = Array.make n 0 in
-      let grouped = Array.make n false in
+      let waiting = Array.make n 0 and top = ref 0 in
       let blocks = ref [] in
       Array.iter
         (fun v ->
+          if is_active.(v) then begin
+            waiting.(!top) <- v;
+            incr top
+          end;
+          let count c = if c < 0 then 0 else cnt.(c) in
           let c =
-            (match Btree.left tree v with Some c -> cnt.(c) | None -> 0)
-            + (match Btree.right tree v with Some c -> cnt.(c) | None -> 0)
-            + if active_node v then 1 else 0
+            count (child Btree.left v) + count (child Btree.right v)
+            + if is_active.(v) then 1 else 0
           in
           if c >= threshold then begin
-            let members =
-              List.filter
-                (fun u -> active_node u && not grouped.(u))
-                (Btree.subtree_nodes tree v)
-            in
-            List.iter (fun u -> grouped.(u) <- true) members;
+            let members = List.init c (fun i -> waiting.(!top - 1 - i)) in
+            top := !top - c;
             blocks := (v, members) :: !blocks;
             cnt.(v) <- 0
           end
           else cnt.(v) <- c)
         (Btree.postorder tree);
-      let blocks = List.rev !blocks in
-      let blocks_formed = List.length blocks in
-      (* Phase 2: the forest over block roots; keep blocks with <= 1
+      let blocks = Array.of_list (List.rev !blocks) in
+      let blocks_formed = Array.length blocks in
+      (* Phase 2: the forest over block roots, by a preorder walk keeping
+         the chain of open block roots on a stack; keep blocks with <= 1
          child. *)
-      let roots = List.map fst blocks in
-      let parent_of r =
-        (* nearest strict ancestor among block roots *)
-        List.filter
-          (fun r' -> r' <> r && Btree.ancestor_or_equal tree r' r)
-          roots
-        |> List.fold_left
-             (fun best r' ->
-               match best with
-               | None -> Some r'
-               | Some b ->
-                   if Btree.ancestor_or_equal tree b r' then Some r' else best)
-             None
-      in
-      let children = Hashtbl.create 16 in
-      List.iter
-        (fun r ->
-          match parent_of r with
-          | Some p ->
-              Hashtbl.replace children p (r :: Option.value ~default:[] (Hashtbl.find_opt children p))
-          | None -> ())
-        roots;
+      let block_at = Array.make n (-1) in
+      Array.iteri (fun i (r, _) -> block_at.(r) <- i) blocks;
+      let nchildren = Array.make blocks_formed 0 in
+      let only_child = Array.make blocks_formed (-1) in
+      let open_roots = Array.make blocks_formed 0 and depth = ref 0 in
+      for v = 0 to n - 1 do
+        let i = block_at.(v) in
+        if i >= 0 then begin
+          let open_root () = fst blocks.(open_roots.(!depth - 1)) in
+          while !depth > 0 && not (Btree.ancestor_or_equal tree (open_root ()) v) do
+            decr depth
+          done;
+          if !depth > 0 then begin
+            let p = open_roots.(!depth - 1) in
+            nchildren.(p) <- nchildren.(p) + 1;
+            only_child.(p) <- v
+          end;
+          open_roots.(!depth) <- i;
+          incr depth
+        end
+      done;
       let kept =
-        List.filter_map
-          (fun (r, members) ->
-            match Option.value ~default:[] (Hashtbl.find_opt children r) with
-            | [] -> Some { broot = r; hole = None; members }
-            | [ c ] -> Some { broot = r; hole = Some c; members }
-            | _ -> None)
-          blocks
+        Array.to_list blocks
+        |> List.mapi (fun i (broot, members) ->
+               match nchildren.(i) with
+               | 0 -> Some { broot; hole = None; members }
+               | 1 -> Some { broot; hole = Some only_child.(i); members }
+               | _ -> None)
+        |> List.filter_map Fun.id
       in
       let blocks_kept = List.length kept in
-      (* Phase 3: behavioral collisions. *)
+      (* Phase 3: behavioral collisions.  [q0] is the pebble-free run.  A
+         member's behaviour replays only the path from it up to the block
+         root, reading each off-path child's state from [q0] — or, for a
+         child on the path down to the hole, from that path's states under
+         each entering state, computed once per block. *)
+      let calls = ref n in
+      let delta ql qr letter =
+        incr calls;
+        Dta.delta auto ql qr letter
+      in
+      let plain =
+        Array.init n (fun v ->
+            Alphabet.encode alpha ~base:(Btree.label tree v) ~mask:0)
+      in
+      let q0 = Dta.run auto tree ~label_of:(Array.get plain) in
+      let base y = if y < 0 then -1 else q0.(y) in
+      (* the state at [p] when its child [x] is in state [s] *)
+      let step off x p s =
+        let l = child Btree.left p and r = child Btree.right p in
+        if l = x then delta s (off r) plain.(p) else delta (off l) s plain.(p)
+      in
+      let rec climb off x s top =
+        if x = top then s
+        else
+          let p = child Btree.parent x in
+          climb off p (step off x p s) top
+      in
+      (* entry i: the state at the i-th ancestor of [x], [x] being in [s] *)
+      let path_states x s top =
+        let st = Array.make (Btree.depth tree x - Btree.depth tree top + 1) s in
+        let x = ref x in
+        for i = 1 to Array.length st - 1 do
+          let p = child Btree.parent !x in
+          st.(i) <- step base !x p st.(i - 1);
+          x := p
+        done;
+        st
+      in
       let bit = Tree_query.k query in
+      let behaviors b =
+        let replay off u =
+          let own =
+            delta
+              (off (child Btree.left u))
+              (off (child Btree.right u))
+              (Alphabet.with_bit alpha plain.(u) bit true)
+          in
+          climb off u own b.broot
+        in
+        match b.hole with
+        | None -> fun u -> [ replay base u ]
+        | Some h ->
+            let offs =
+              List.init m (fun q ->
+                  let st = path_states h q b.broot in
+                  fun y ->
+                    if y >= 0 && Btree.ancestor_or_equal tree y h then
+                      st.(Btree.depth tree h - Btree.depth tree y)
+                    else base y)
+            in
+            fun u -> List.map (fun off -> replay off u) offs
+      in
       let paired =
         List.filter_map
           (fun b ->
-            let region = region_postorder tree b.broot b.hole in
             let members =
               (* Defensive: candidates must lie in the region (which, like
                  the paper's V_i, excludes the child block's root). *)
@@ -157,10 +191,11 @@ let prepare ?(options = default_options) tree query =
                   | None -> true)
                 b.members
             in
+            let behavior = behaviors b in
             let groups = Hashtbl.create 16 in
             List.iter
               (fun u ->
-                let beh = behavior auto alpha tree region b.broot b.hole ~bit u in
+                let beh = behavior u in
                 Hashtbl.replace groups beh
                   (u :: Option.value ~default:[] (Hashtbl.find_opt groups beh)))
               members;
@@ -191,6 +226,7 @@ let prepare ?(options = default_options) tree query =
             if pairs = [] then None else Some (b, pairs))
           kept
       in
+      Obs.add c_delta_calls !calls;
       let selected = List.concat_map snd paired in
       if selected = [] then Error "no block yielded a behavioral pair"
       else

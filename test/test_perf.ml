@@ -340,6 +340,47 @@ let test_reader_work_bounded () =
         check int ("detect_weights moves no " ^ name) 0 v)
     d.Wm_obs.Obs.counters
 
+(* Linear-time XML scheme preparation (DESIGN.md 5.3): the automaton
+   transitions Pipeline.prepare_xml takes over the document at 2n
+   articles stay within 2.2x those at n — a quadratic pass would show a
+   ratio near 4 — and likewise Tree_scheme.prepare on a caterpillar, the
+   deepest tree of its size. *)
+let test_xml_prepare_linear () =
+  with_stats @@ fun () ->
+  let delta_calls f =
+    let before = Wm_obs.Obs.snapshot () in
+    (match f () with Ok _ -> () | Error e -> Alcotest.fail e);
+    counter_of (Wm_obs.Obs.diff ~since:before (Wm_obs.Obs.snapshot ()))
+      "trees.delta_calls"
+  in
+  let doubling name at n =
+    let small = at n and large = at (2 * n) in
+    check bool
+      (Printf.sprintf "%s: %d delta calls at 2n <= 2.2 x %d at n" name large small)
+      true
+      (small > 0 && float_of_int large <= 2.2 *. float_of_int small)
+  in
+  let biblio articles =
+    let doc =
+      Wm_workload.Biblio_xml.generate (Prng.create articles) ~articles ()
+    in
+    delta_calls (fun () ->
+        Wm_watermark.Pipeline.prepare_xml doc Wm_workload.Biblio_xml.pattern)
+  in
+  doubling "biblio 200 -> 400 articles" biblio 200;
+  let child =
+    let phi = Parser.mso_of_string "S1(x,y) | S2(x,y)" in
+    let c =
+      Wm_trees.Mso_compile.compile ~base:[| "a"; "b" |] ~free:[ "x"; "y" ] phi
+    in
+    Wm_trees.Tree_query.of_compiled c ~params:[ "x" ] ~results:[ "y" ]
+  in
+  let caterpillar size =
+    let tree = Wm_workload.Trees_gen.caterpillar ~alphabet:[ "a"; "b" ] ~size in
+    delta_calls (fun () -> Wm_watermark.Tree_scheme.prepare tree child)
+  in
+  doubling "caterpillar 500 -> 1000 nodes" caterpillar 500
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_universe_matches_ref;
@@ -355,4 +396,5 @@ let suite =
       test_iso_checks_no_worse_than_ref;
     Alcotest.test_case "fo candidates O(|R| + n)" `Quick test_fo_candidates_bounded;
     Alcotest.test_case "reader work bounded" `Quick test_reader_work_bounded;
+    Alcotest.test_case "xml prepare linear" `Quick test_xml_prepare_linear;
   ]
