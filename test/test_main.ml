@@ -29,5 +29,5 @@ let () =
       ("cli", Test_cli.suite);
       ("coverage", Test_coverage.suite);
       ("readers", Test_readers.suite);
-      ("tree-prepare", Test_tree_prepare.suite);
+      ("tree-prep", Test_tree_prepare.suite);
     ]
