@@ -142,6 +142,8 @@ let to_structure t =
       { Schema.name = "S1"; arity = 2 };
       { Schema.name = "S2"; arity = 2 };
       { Schema.name = "Leq"; arity = 2 };
+      { Schema.name = "Child"; arity = 2 };
+      { Schema.name = "Desc"; arity = 2 };
     ]
     @ Array.to_list
         (Array.map (fun a -> { Schema.name = a; arity = 1 }) t.alphabet)
@@ -158,7 +160,20 @@ let to_structure t =
     for y = 0 to n - 1 do
       if ancestor_or_equal t x y then
         g := Structure.add_tuple !g "Leq" (Tuple.pair x y)
-    done
+    done;
+    (* FCNS reading: the unranked children of x are the S2-spine of its
+       S1 child, its unranked descendants that child's binary subtree. *)
+    if t.left.(x) >= 0 then begin
+      let c = ref t.left.(x) in
+      while !c >= 0 do
+        g := Structure.add_tuple !g "Child" (Tuple.pair x !c);
+        c := t.right.(!c)
+      done;
+      for y = 0 to n - 1 do
+        if ancestor_or_equal t t.left.(x) y then
+          g := Structure.add_tuple !g "Desc" (Tuple.pair x y)
+      done
+    end
   done;
   !g
 

@@ -62,9 +62,11 @@ val subtree_size : t -> int -> int
 val nodes_with_label : t -> string -> int list
 
 val to_structure : t -> Structure.t
-(** Relational view over schema {S1/2, S2/2, Leq/2, one unary symbol per
-    letter}: feeds the MSO oracle of {!Wm_logic.Mso}.  [Leq] is the
-    reflexive tree order. *)
+(** Relational view over schema {S1/2, S2/2, Leq/2, Child/2, Desc/2, one
+    unary symbol per letter}: feeds the MSO oracle of {!Wm_logic.Mso}.
+    [Leq] is the reflexive tree order; [Child] and [Desc] are the unranked
+    child and proper-descendant relations of the first-child/next-sibling
+    reading (see {!Mso_compile}). *)
 
 val pp : Format.formatter -> t -> unit
 (** Indented rendering, one node per line. *)

@@ -146,6 +146,30 @@ let leq_atom alpha i j =
             | q, r when (q = sd && r = sn) || (q = sn && r = sd) -> sd
             | _ -> sf)
 
+(* y (bit j) is a proper unranked descendant of x (bit i) in the FCNS
+   reading: y lies in the binary subtree of x's S1 child.  With [~child],
+   y must also lie on that child's S2-spine, i.e. be an unranked child of
+   x.  [sy]: y lies in this subtree (on its right spine, with [~child]:
+   a left edge there makes some node other than x y's parent). *)
+let unranked_atom alpha ~child i j =
+  Dta.make ~nstates:4 ~nlabels:(Alphabet.size alpha)
+    ~final:(fun q -> q = sd)
+    (fun ql qr l ->
+      let ql = if ql < 0 then sn else ql and qr = if qr < 0 then sn else qr in
+      if ql = sf || qr = sf then sf
+      else
+        let bi = Alphabet.bit alpha l i and bj = Alphabet.bit alpha l j in
+        if bi && bj then sf
+        else if bj then if ql = sn && qr = sn then sy else sf
+        else if bi then if ql = sy && qr = sn then sd else sf
+        else
+          match (ql, qr) with
+          | q, r when q = sn && r = sn -> sn
+          | q, r when q = sn && r = sy -> sy
+          | q, r when q = sy && r = sn && not child -> sy
+          | q, r when (q = sd && r = sn) || (q = sn && r = sd) -> sd
+          | _ -> sf)
+
 (* ------------------------------------------------------------------ *)
 
 module Svars = Set.Make (String)
@@ -266,7 +290,8 @@ let compile ~base ~free phi =
     | False ->
         { dta = Dta.accept_none ~nlabels:(Alphabet.size (alpha_for [])); fv = [] }
     | Atom ("S1", [ x; y ]) | Atom ("S2", [ x; y ])
-    | Atom ("Leq", [ x; y ]) | Eq (x, y) | In (x, y) ->
+    | Atom ("Leq", [ x; y ]) | Atom ("Child", [ x; y ])
+    | Atom ("Desc", [ x; y ]) | Eq (x, y) | In (x, y) ->
         let fv = List.sort_uniq compare [ x; y ] in
         let alpha = alpha_for fv in
         let i = pos fv x and j = pos fv y in
@@ -275,6 +300,8 @@ let compile ~base ~free phi =
           | Atom ("S1", _) -> child_atom alpha ~left:true i j
           | Atom ("S2", _) -> child_atom alpha ~left:false i j
           | Atom ("Leq", _) -> leq_atom alpha i j
+          | Atom ("Child", _) -> unranked_atom alpha ~child:true i j
+          | Atom ("Desc", _) -> unranked_atom alpha ~child:false i j
           | Eq _ -> eq_atom alpha i j
           | In _ -> in_atom alpha i j
           | _ -> assert false

@@ -4,7 +4,13 @@
     Vocabulary tau(Sigma): binary [S1] (left child), [S2] (right child),
     [Leq] (reflexive tree order: [Leq(x,y)] iff x is an ancestor of y or
     x = y), equality, set membership, and one unary predicate per letter of
-    Sigma written as an atom named by the letter, e.g. [exam(x)].
+    Sigma written as an atom named by the letter, e.g. [exam(x)].  Two
+    more binary atoms read a binary tree as the first-child/next-sibling
+    encoding of an unranked one: [Child(x,y)] (y lies on the S2-spine of
+    x's S1 child, i.e. y is an unranked child of x) and [Desc(x,y)] (y lies
+    in the binary subtree of x's S1 child, i.e. y is a proper unranked
+    descendant of x).  Arity tells them apart from letters of the same
+    name.
 
     The compilation is compositional over a {e fixed} pebble alphabet
     Sigma x {0,1}^K, where K counts the free variables plus all

@@ -9,41 +9,56 @@ type t = {
 
 exception Parse_error of string
 
+let check_name what s =
+  if s = "" then raise (Parse_error ("empty " ^ what));
+  if not (Xml.is_name s) then
+    raise (Parse_error (Printf.sprintf "%s %S is not an XML name" what s))
+
 (* A segment is a tag followed by zero or more bracketed predicates:
    "student[firstname=$a][lastname=Smith]". *)
 let parse_segment i seg =
-  match String.index_opt seg '[' with
-  | None -> (seg, [], [])
-  | Some b ->
-      let tag = String.sub seg 0 b in
-      let rest = String.sub seg b (String.length seg - b) in
-      let params = ref [] and consts = ref [] in
-      let pos = ref 0 in
-      let n = String.length rest in
-      while !pos < n do
-        if rest.[!pos] <> '[' then raise (Parse_error "malformed predicate");
-        let close =
-          match String.index_from_opt rest !pos ']' with
-          | Some c -> c
-          | None -> raise (Parse_error "unterminated predicate")
-        in
-        let inside = String.sub rest (!pos + 1) (close - !pos - 1) in
-        (match String.index_opt inside '=' with
-        | Some e ->
-            let k = String.sub inside 0 e in
-            let v = String.sub inside (e + 1) (String.length inside - e - 1) in
-            if k = "" || v = "" then raise (Parse_error "empty predicate part");
-            if v.[0] = '$' then params := (i, k) :: !params
-            else consts := (i, k, v) :: !consts
-        | None -> raise (Parse_error "predicate must have the form [tag=$x] or [tag=value]"));
-        pos := close + 1
-      done;
-      (tag, !params, !consts)
+  let b = Option.value (String.index_opt seg '[') ~default:(String.length seg) in
+  let tag = String.sub seg 0 b in
+  if tag = "" then raise (Parse_error (Printf.sprintf "step %S has no tag" seg));
+  check_name "tag" tag;
+  let params = ref [] and consts = ref [] in
+  let pos = ref b in
+  let n = String.length seg in
+  while !pos < n do
+    if seg.[!pos] <> '[' then raise (Parse_error "malformed predicate");
+    let close =
+      match String.index_from_opt seg !pos ']' with
+      | Some c -> c
+      | None -> raise (Parse_error "unterminated predicate")
+    in
+    let inside = String.sub seg (!pos + 1) (close - !pos - 1) in
+    (match String.index_opt inside '=' with
+    | Some e ->
+        let k = String.sub inside 0 e in
+        let v = String.sub inside (e + 1) (String.length inside - e - 1) in
+        if k = "" || v = "" then raise (Parse_error "empty predicate part");
+        check_name "predicate tag" k;
+        if v.[0] = '$' then begin
+          check_name "parameter name" (String.sub v 1 (String.length v - 1));
+          params := (i, k) :: !params
+        end
+        else consts := (i, k, v) :: !consts
+    | None -> raise (Parse_error "predicate must have the form [tag=$x] or [tag=value]"));
+    pos := close + 1
+  done;
+  (tag, !params, !consts)
 
 (* "a/b//c" splits on '/' into ["a"; "b"; ""; "c"]: an empty field means
    the following segment is reached by the descendant axis. *)
 let parse s =
-  let fields = String.split_on_char '/' s in
+  let len = String.length s in
+  if len = 0 then raise (Parse_error "empty pattern");
+  if s.[0] = '/' then
+    raise
+      (Parse_error
+         (if len > 1 && s.[1] = '/' then "pattern cannot start with //"
+          else "pattern cannot start with /: its first step is the document root"));
+  if s.[len - 1] = '/' then raise (Parse_error "pattern cannot end with /");
   let rec to_steps axis acc = function
     | [] -> List.rev acc
     | "" :: rest ->
@@ -51,21 +66,15 @@ let parse s =
         to_steps Descendant acc rest
     | seg :: rest -> to_steps Child ((axis, seg) :: acc) rest
   in
-  let raw = to_steps Child [] fields in
-  if raw = [] then raise (Parse_error "empty pattern");
-  (match raw with
-  | (Descendant, _) :: _ -> raise (Parse_error "pattern cannot start with //")
-  | _ -> ());
   let params = ref [] and consts = ref [] in
   let steps =
     List.mapi
       (fun i (axis, seg) ->
-        if seg = "" then raise (Parse_error "empty path segment");
         let tag, ps, cs = parse_segment i seg in
         params := ps @ !params;
         consts := cs @ !consts;
         (axis, tag))
-      raw
+      (to_steps Child [] (String.split_on_char '/' s))
   in
   match !params with
   | [ (pred_step, pred_tag) ] ->
@@ -179,36 +188,15 @@ let f_value p u value =
 (* ------------------------------------------------------------------ *)
 (* MSO compilation (over the FCNS binary encoding, abstract alphabet). *)
 
-let mso_rchain z y : Mso.t =
-  (* y is z or reachable from z by S2 edges: every S2-closed set containing
-     z contains y. *)
-  Forall_set
-    ( "X",
-      Implies
-        ( And
-            ( In (z, "X"),
-              Forall
-                ( "u",
-                  Forall
-                    ( "w",
-                      Implies
-                        (And (In ("u", "X"), Atom ("S2", [ "u"; "w" ])), In ("w", "X"))
-                    ) ) ),
-          In (y, "X") ) )
+let mso_step axis x y : Mso.t =
+  (* In the FCNS encoding the unranked children of x are the S2-spine of
+     x's S1 child and its proper descendants that child's binary subtree:
+     both are base atoms of Lemma 2's compiler. *)
+  match axis with
+  | Child -> Atom ("Child", [ x; y ])
+  | Descendant -> Atom ("Desc", [ x; y ])
 
-let mso_child x y : Mso.t =
-  (* y is an unranked child of x: first binary child of x, then sibling
-     chain. *)
-  Exists ("z", And (Atom ("S1", [ x; "z" ]), mso_rchain "z" y))
-
-let mso_descendant x y : Mso.t =
-  (* y is a proper unranked descendant of x: in the FCNS encoding, the
-     binary subtree rooted at x's left child is exactly the forest of x's
-     children. *)
-  Exists ("z", And (Atom ("S1", [ x; "z" ]), Atom ("Leq", [ "z"; y ])))
-
-let mso_step axis x y =
-  match axis with Child -> mso_child x y | Descendant -> mso_descendant x y
+let mso_child = mso_step Child
 
 let mso_root x : Mso.t =
   Forall ("r", Implies (Atom ("Leq", [ "r"; x ]), Eq ("r", x)))

@@ -26,9 +26,10 @@
     compilation to MSO over the binary encoding, hence (by Lemma 2) to a
     tree automaton — the input format of the Theorem 5 watermarking
     scheme.  In the first-child/next-sibling encoding, a child step is
-    "left child, then a chain of right children" (one set quantifier) and
-    a descendant step is "left child, then anywhere below" (the binary
-    tree order). *)
+    "left child, then a chain of right children" and a descendant step is
+    "left child, then anywhere below"; each is one base atom of
+    {!Wm_trees.Mso_compile} ([Child], [Desc]), so the formula has no set
+    quantifier. *)
 
 type axis = Child | Descendant
 
@@ -49,7 +50,11 @@ exception Parse_error of string
 val parse : string -> t
 (** [parse "school//student[firstname=$a][lastname=Smith]/exam"].  Exactly
     one parametric [[tag=$x]] predicate is required; any number of constant
-    [[tag=value]] filters may accompany it. @raise Parse_error otherwise. *)
+    [[tag=value]] filters may accompany it.  Tags, predicate tags and the
+    parameter name are XML names ({!Xml.is_name}); constant values are any
+    non-empty text without [']'].  The path neither starts nor ends with
+    [/]: its first step is the document root.
+    @raise Parse_error otherwise, naming the defect. *)
 
 val constants : t -> string list
 (** The constant predicate values, sorted — pass them to

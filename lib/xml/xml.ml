@@ -54,6 +54,8 @@ let is_name_char ch =
   || (ch >= '0' && ch <= '9')
   || ch = '_' || ch = '-' || ch = '.' || ch = ':'
 
+let is_name s = s <> "" && String.for_all is_name_char s
+
 let read_name c =
   let start = c.pos in
   while (match peek c with Some ch -> is_name_char ch | None -> false) do

@@ -31,6 +31,10 @@ val to_string : ?indent:bool -> t -> string
 (** Serializes; [indent] (default true) pretty-prints with 2-space
     indentation, text-only elements staying on one line. *)
 
+val is_name : string -> bool
+(** A non-empty string of the characters tag and attribute names may
+    hold here: ASCII letters, digits, [_ - . :]. *)
+
 val element : string -> t list -> t
 (** Element with no attributes. *)
 

@@ -185,6 +185,29 @@ let test_mso_s1 () = check_formula "S1" "S1(x,y)" [ "x"; "y" ]
 let test_mso_s2 () = check_formula "S2" "S2(x,y)" [ "x"; "y" ]
 let test_mso_leq () = check_formula "Leq" "Leq(x,y)" [ "x"; "y" ]
 let test_mso_eq () = check_formula "eq" "x = y" [ "x"; "y" ]
+let test_mso_child () = check_formula "Child" "Child(x,y)" [ "x"; "y" ]
+let test_mso_desc () = check_formula "Desc" "Desc(x,y)" [ "x"; "y" ]
+
+(* The unranked atoms compile to the automata of their definitions in the
+   binary vocabulary: a child is the S1 child or reached from it along an
+   S2-chain (every S2-closed set holding it), a proper descendant lies at
+   or below the S1 child. *)
+let test_mso_unranked_definitions () =
+  let compile text =
+    (Mso_compile.compile ~base ~free:[ "x"; "y" ] (Parser.mso_of_string text))
+      .Mso_compile.auto
+  in
+  List.iter
+    (fun (atom, definition) ->
+      let a = compile atom and d = compile definition in
+      check int (atom ^ " states") (Dta.nstates d) (Dta.nstates a);
+      check bool (atom ^ " = its definition") true (Dta.equivalent a d))
+    [
+      ( "Child(x,y)",
+        "exists z. (S1(x,z) & forallS X. ((z in X & forall u. forall w. ((u \
+         in X & S2(u,w)) -> w in X)) -> y in X))" );
+      ("Desc(x,y)", "exists z. (S1(x,z) & Leq(z,y))");
+    ]
 
 let test_mso_not () = check_formula "negated S1" "~S1(x,y)" [ "x"; "y" ]
 
@@ -355,11 +378,12 @@ let prop_determinize_of_dta_is_identity_language =
 (* --- Bit-identical compilation ----------------------------------------
 
    A digest of an automaton's state count, final states and full
-   transition table.  The tree scheme groups candidate nodes by lists of
-   state ids, so a compiler change that renumbers states changes which
-   pairs get marked even when every language is preserved: the digests
-   below pin the numbering, and a change to one is a change to marked
-   outputs (DESIGN.md 5.4). *)
+   transition table.  The digests below pin the construction, not the
+   marks: the tree scheme takes its collision groups by smallest member
+   node, so a renumbering that keeps the language leaves pairs and marked
+   outputs unchanged (DESIGN.md 5.4).  A changed digest means the compiler
+   builds a different automaton; compare size and language
+   ([Dta.equivalent]) with the old one before re-recording it. *)
 let dta_digest d =
   let b = Buffer.create 4096 in
   let n = Dta.nstates d and nl = Dta.nlabels d in
@@ -400,6 +424,10 @@ let e8_digests =
        S2(u,v))) -> v in X)) -> y in X)",
       [ "x"; "y" ],
       "95a0e239d8f1d06970492717e1318196", "7b2010aafee4e545c313812d6e7e4b74" );
+    ( "Child(x,y)", [ "x"; "y" ],
+      "2ddae6b390c58b96723378e89220b09a", "4eff7f39d94fba16db3dbe7f9f2666d5" );
+    ( "Desc(x,y)", [ "x"; "y" ],
+      "8ae9a89991a761e61b2993f85fe80d01", "bfa31bbeb5cb7442ebbe2118f8b4e5ab" );
   ]
 
 let test_e8_digests () =
@@ -531,6 +559,9 @@ let suite =
     ("mso: S2", `Quick, test_mso_s2);
     ("mso: Leq", `Quick, test_mso_leq);
     ("mso: equality", `Quick, test_mso_eq);
+    ("mso: unranked Child", `Quick, test_mso_child);
+    ("mso: unranked Desc", `Quick, test_mso_desc);
+    ("mso: Child/Desc = their definitions", `Quick, test_mso_unranked_definitions);
     ("mso: negation", `Quick, test_mso_not);
     ("mso: exists", `Quick, test_mso_exists);
     ("mso: sentence", `Quick, test_mso_sentence);

@@ -172,6 +172,36 @@ let test_pattern_parse_errors () =
     [ "school/student"; "a[b=$x]/c[d=$y]"; "a[b]/c"; "a///b[c=$x]/d"; "";
       "//a[b=$x]/c" ]
 
+(* Malformed paths name their defect instead of being accepted, repaired
+   or reported as something else. *)
+let parse_fails s want =
+  match Pattern.parse s with
+  | exception Pattern.Parse_error m -> check string s want m
+  | p -> Alcotest.failf "%S parsed as %S" s (Pattern.to_string p)
+
+let test_parse_empty_tag () =
+  parse_fails "a/[k=$x]" "step \"[k=$x]\" has no tag"
+
+let test_parse_trailing_slash () =
+  parse_fails "a/b[k=$x]/" "pattern cannot end with /";
+  parse_fails "a/b[k=$x]//" "pattern cannot end with /"
+
+let test_parse_space_in_tag () =
+  parse_fails "a/b [k=$x]" "tag \"b \" is not an XML name";
+  parse_fails "a/b[k =$x]" "predicate tag \"k \" is not an XML name";
+  (* constant values are text and may hold spaces *)
+  let p = Pattern.parse "a/b[k=$x][t=New York]/c" in
+  check (list string) "constant with a space" [ "New York" ] (Pattern.constants p)
+
+let test_parse_empty_parameter () =
+  parse_fails "a/b[k=$]" "empty parameter name";
+  parse_fails "a/b[k=$x y]" "parameter name \"x y\" is not an XML name"
+
+let test_parse_leading_slash () =
+  parse_fails "/a/b[k=$x]"
+    "pattern cannot start with /: its first step is the document root";
+  parse_fails "//a/b[k=$x]" "pattern cannot start with //"
+
 let test_example4_f_robert () =
   (* The paper: f(Robert, psi) = 28 on the original document. *)
   let u = School_xml.example4 in
@@ -452,14 +482,31 @@ let test_pattern_compiled_size () =
 
 (* Compiled pattern automata, pinned by digest (see Test_trees.dta_digest):
    over the document's alphabet and over it plus four extra tags. *)
+let digest_cases =
+  lazy
+    (let class_doc =
+       Utree.of_xml
+         (Xml.parse
+            {|<school><class><name>A</name><group><exam>10</exam></group><exam>5</exam></class><class><name>B</name><exam>7</exam></class></school>|})
+     in
+     let biblio = Biblio_xml.generate (Prng.create 7) ~articles:24 () in
+     let example4 = School_xml.example4 in
+     [
+       ( Biblio_xml.pattern, biblio,
+         "d20eec1584bfb1a26ceed65cc52292ab", "20b7c86ab88e8ab20d4ac591d30cbe03" );
+       ( School_xml.example4_pattern, example4,
+         "3d892ec122685329c00b2727caf98369", "ba40eb554ba558710d6b3957019bc00d" );
+       ( Pattern.parse "school//student[firstname=$a]/exam", example4,
+         "1adadb0ad43538bc90b3e5c6ebfaef68", "ac4187fc0840b73a1416a507cc445830" );
+       ( Pattern.parse "school/student[firstname=$a][lastname=Smith]/exam", example4,
+         "6fae763ebcef13ce52d1e03ea6ffe314", "deca4fcbe062cc758445d7dab98cf949" );
+       ( Pattern.parse "school//student[firstname=$a][lastname=Smith]/exam", example4,
+         "7d2692240a29b3c81d2bf705482f2617", "88c91e3676c4425e0fb0943d6355f112" );
+       ( Pattern.parse "school//class[name=$a]//exam", class_doc,
+         "9a07ffc610f45413c05697f411c81709", "600f03ca1e9177651fd6c97fb96416cb" );
+     ])
+
 let test_pattern_digests () =
-  let class_doc =
-    Utree.of_xml
-      (Xml.parse
-         {|<school><class><name>A</name><group><exam>10</exam></group><exam>5</exam></class><class><name>B</name><exam>7</exam></class></school>|})
-  in
-  let biblio = Biblio_xml.generate (Prng.create 7) ~articles:24 () in
-  let example4 = School_xml.example4 in
   List.iter
     (fun (p, doc, plain, extended) ->
       let alphabet =
@@ -474,20 +521,85 @@ let test_pattern_digests () =
             want
             (Test_trees.dta_digest (Wm_trees.Tree_query.automaton q)))
         [ (alphabet, plain); (alphabet @ Test_trees.extra_tags, extended) ])
-    [
-      ( Biblio_xml.pattern, biblio,
-        "d20eec1584bfb1a26ceed65cc52292ab", "20b7c86ab88e8ab20d4ac591d30cbe03" );
-      ( School_xml.example4_pattern, example4,
-        "3d892ec122685329c00b2727caf98369", "ba40eb554ba558710d6b3957019bc00d" );
-      ( Pattern.parse "school//student[firstname=$a]/exam", example4,
-        "1adadb0ad43538bc90b3e5c6ebfaef68", "ac4187fc0840b73a1416a507cc445830" );
-      ( Pattern.parse "school/student[firstname=$a][lastname=Smith]/exam", example4,
-        "6fae763ebcef13ce52d1e03ea6ffe314", "deca4fcbe062cc758445d7dab98cf949" );
-      ( Pattern.parse "school//student[firstname=$a][lastname=Smith]/exam", example4,
-        "7d2692240a29b3c81d2bf705482f2617", "88c91e3676c4425e0fb0943d6355f112" );
-      ( Pattern.parse "school//class[name=$a]//exam", class_doc,
-        "9a07ffc610f45413c05697f411c81709", "600f03ca1e9177651fd6c97fb96416cb" );
-    ]
+    (Lazy.force digest_cases)
+
+(* Child and descendant steps compile through the [Child] / [Desc] atoms;
+   Pattern_ref keeps the set-quantifier encoding they replaced.  Both
+   automata are minimal, so equal size and equal language make them
+   isomorphic. *)
+let biblio_descendant_result =
+  lazy (Pattern.parse "bibliography//article[author=$a]//citations")
+
+let biblio_constant_filter =
+  lazy (Pattern.parse "bibliography//article[author=$a][title=On Problem 0003]/citations")
+
+let test_pattern_compile_matches_ref () =
+  let biblio = Biblio_xml.generate (Prng.create 7) ~articles:24 () in
+  let cases =
+    List.map (fun (p, doc, _, _) -> (p, doc)) (Lazy.force digest_cases)
+    @ [ (Lazy.force biblio_descendant_result, biblio);
+        (Lazy.force biblio_constant_filter, biblio) ]
+  in
+  List.iter
+    (fun (p, doc) ->
+      let alphabet = Encode.abstract_alphabet ~constants:(Pattern.constants p) doc in
+      List.iter
+        (fun alphabet ->
+          let name =
+            Printf.sprintf "%s over %d letters" (Pattern.to_string p)
+              (List.length alphabet)
+          in
+          let auto q = Wm_trees.Tree_query.automaton q in
+          let d = auto (Pattern.compile p ~alphabet)
+          and r = auto (Pattern_ref.compile p ~alphabet) in
+          check int (name ^ ": states") (Wm_trees.Dta.nstates r) (Wm_trees.Dta.nstates d);
+          check bool (name ^ ": same language") true (Wm_trees.Dta.equivalent d r))
+        [ alphabet; alphabet @ Test_trees.extra_tags ])
+    cases
+
+(* Everything the tree scheme derives from the automaton — pairs,
+   regions, report and the marked document — is the same under either
+   encoding. *)
+let test_pattern_scheme_matches_ref () =
+  let biblio =
+    List.map (fun articles -> Biblio_xml.generate (Prng.create articles) ~articles ())
+      [ 24; 60; 200 ]
+  in
+  let cases =
+    List.concat_map
+      (fun p -> List.map (fun doc -> (p, doc)) biblio)
+      [ Biblio_xml.pattern; Lazy.force biblio_descendant_result;
+        Lazy.force biblio_constant_filter ]
+    @ [ (School_xml.example4_pattern,
+         School_xml.generate (Prng.create 3) ~students:150 ()) ]
+  in
+  let module Ts = Wm_watermark.Tree_scheme in
+  let outputs options tree q doc =
+    match Ts.prepare ~options tree q with
+    | Error e -> Error e
+    | Ok s ->
+        let message = Codec.random (Prng.create 5) (Ts.capacity s) in
+        let marked = Utree.with_weights doc (Ts.mark s message (Utree.weights doc)) in
+        Ok (Ts.pairs s, Ts.regions s, Ts.report s,
+            Digest.to_hex (Digest.string (Xml.to_string (Utree.to_xml marked))))
+  in
+  List.iter
+    (fun (p, doc) ->
+      let constants = Pattern.constants p in
+      let tree = Encode.to_binary_abstract ~constants doc in
+      let alphabet = Encode.abstract_alphabet ~constants doc in
+      let q = Pattern.compile p ~alphabet and r = Pattern_ref.compile p ~alphabet in
+      List.iter
+        (fun options ->
+          check bool
+            (Printf.sprintf "%s on %d nodes, block size %s" (Pattern.to_string p)
+               (Utree.size doc)
+               (match options.Ts.block_size with
+               | None -> "2m" | Some b -> string_of_int b))
+            true
+            (outputs options tree q doc = outputs options tree r doc))
+        [ Ts.default_options; { Ts.block_size = Some 6; pairs_per_block = 2 } ])
+    cases
 
 (* Properties *)
 
@@ -558,6 +670,13 @@ let suite =
     ("pattern automaton agrees with evaluator", `Slow, test_pattern_automaton_agrees);
     ("pattern automaton is small", `Slow, test_pattern_compiled_size);
     ("pattern automata are bit-identical", `Quick, test_pattern_digests);
+    ("pattern compile = set-quantifier ref", `Slow, test_pattern_compile_matches_ref);
+    ("pattern scheme = set-quantifier ref", `Slow, test_pattern_scheme_matches_ref);
+    ("pattern parse: empty tag", `Quick, test_parse_empty_tag);
+    ("pattern parse: trailing slash", `Quick, test_parse_trailing_slash);
+    ("pattern parse: space in a tag", `Quick, test_parse_space_in_tag);
+    ("pattern parse: empty parameter name", `Quick, test_parse_empty_parameter);
+    ("pattern parse: leading slash", `Quick, test_parse_leading_slash);
     QCheck_alcotest.to_alcotest prop_xml_roundtrip;
     QCheck_alcotest.to_alcotest prop_encode_roundtrip;
     QCheck_alcotest.to_alcotest prop_value_query_is_union;
