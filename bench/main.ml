@@ -13,6 +13,7 @@
    DESIGN.md section 4; paper-vs-measured is recorded in EXPERIMENTS.md. *)
 
 open Qpwm
+open Wm_oracles
 
 (* Wall-clock, not CPU time: parallel speedups are invisible to
    [Sys.time], which sums over domains. *)
@@ -2478,191 +2479,6 @@ let e27 () =
      feed the CI guard.\n"
     copies population
 
-(* --- E28: bounded-width neighborhood typing (PR 10) ----------------
-
-   The decomposition-driven fast path (DESIGN.md 5.14) against the
-   generic iso-classifying indexer on the three ISSUE workloads: the
-   40x40 grid, a random sparse graph at average degree ~3, and the
-   biblio-XML element tree flattened to an E-edge structure.  Each
-   workload is typed twice per path (best-of-2) with the bound set to
-   the workload's surveyed max sphere width, outputs asserted
-   bit-identical in-bench.  Typing time is the nbh.index.codes +
-   nbh.index.prep + nbh.index.classify timer total, so the bounded
-   path's own decomposition probes, canonical codes and grouping are
-   charged against the prep + classify work they replace; sphere
-   extraction (identical on both paths) is reported separately.
-   grid_typing_speedup and outputs_equal feed the >= 2x CI guard via
-   BENCH_PR10.json.
-
-   WMARK_E28_GRID / WMARK_E28_N / WMARK_E28_ARTICLES override the
-   workload sizes so CI runs small; the committed BENCH_PR10.json comes
-   from the full run. *)
-
-let e28 () =
-  header "E28. Bounded-width typing: decomposition codes vs generic iso";
-  let env_int name default floor =
-    match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-    | Some v when v >= floor -> v
-    | _ -> default
-  in
-  let gside = env_int "WMARK_E28_GRID" 40 6 in
-  let nrand = env_int "WMARK_E28_N" 360 24 in
-  let articles = env_int "WMARK_E28_ARTICLES" 40 3 in
-  let was = Obs.enabled () in
-  Obs.set_enabled true;
-  Fun.protect ~finally:(fun () -> Obs.set_enabled was)
-  @@ fun () ->
-  let grid = (Grid.structure ~w:gside ~h:gside).Weighted.graph in
-  let sparse =
-    (Random_struct.graph (Prng.create 0xE28) ~n:nrand ~max_degree:3
-       ~edges:(3 * nrand / 2))
-      .Weighted.graph
-  in
-  (* the biblio-XML document tree as a relational structure: one element
-     per node, E = parent-child, document order *)
-  let xmltree =
-    let doc = Biblio_xml.generate (Prng.create articles) ~articles () in
-    let n = Utree.size doc in
-    let edges =
-      List.concat_map
-        (fun p ->
-          List.concat_map (fun c -> [ (p, c); (c, p) ]) (Utree.children doc p))
-        (List.init n (fun i -> i))
-    in
-    Structure.add_pairs (Structure.create Schema.graph n) "E" edges
-  in
-  let timer_s d name =
-    match List.assoc_opt name d.Obs.timers with
-    | Some t -> t.Obs.seconds
-    | None -> 0.0
-  in
-  (* Typing = everything downstream of sphere extraction: the generic
-     path pays Iso.prep for every distinct sphere plus the iso-check
-     classification; the bounded path pays decomposition + canonical
-     codes + grouping (nbh.index.codes), prep for group leaders only,
-     and a classification that answers per group.  Sphere extraction
-     (BFS + substructure materialization) is identical on both paths
-     and reported separately. *)
-  let typing d =
-    timer_s d "nbh.index.codes" +. timer_s d "nbh.index.prep"
-    +. timer_s d "nbh.index.classify"
-  in
-  (* one measured index run: (index, typing s, spheres-span s, diff) *)
-  let measure g ~rho ~width_bound =
-    let since = Obs.snapshot () in
-    let ix = Neighborhood.index_universe ~width_bound g ~rho ~arity:1 in
-    let d = Obs.diff ~since (Obs.snapshot ()) in
-    (ix, typing d, d)
-  in
-  let best_of_2 g ~rho ~width_bound =
-    let r1 = measure g ~rho ~width_bound in
-    let r2 = measure g ~rho ~width_bound in
-    let (_, t1, _) = r1 and (_, t2, _) = r2 in
-    if t1 <= t2 then r1 else r2
-  in
-  (* local-scheme capacity of an index: same-type elements pair up *)
-  let capacity ix =
-    let per_type = Hashtbl.create 64 in
-    Tuple.Map.iter
-      (fun _ ty ->
-        Hashtbl.replace per_type ty
-          (1 + Option.value ~default:0 (Hashtbl.find_opt per_type ty)))
-      ix.Neighborhood.types;
-    Hashtbl.fold (fun _ c acc -> acc + (c / 2)) per_type 0
-  in
-  let t =
-    Texttab.create
-      [ "workload"; "n"; "rho"; "bound"; "ntp"; "capacity"; "spheres s";
-        "generic s"; "bounded s"; "speedup"; "identical" ]
-  in
-  let outputs_equal = ref true in
-  let results =
-    List.map
-      (fun (name, g, rho) ->
-        let width = Neighborhood.max_sphere_width g ~rho in
-        let gen, gen_s, d_gen = best_of_2 g ~rho ~width_bound:0 in
-        let bnd, bnd_s, d_bnd = best_of_2 g ~rho ~width_bound:width in
-        (* pure extraction: the spheres span minus its nested code/prep *)
-        let extraction d =
-          timer_s d "nbh.index.spheres"
-          -. timer_s d "nbh.index.codes"
-          -. timer_s d "nbh.index.prep"
-        in
-        let gen_ext = extraction d_gen and bnd_ext = extraction d_bnd in
-        let same =
-          gen.Neighborhood.rho = bnd.Neighborhood.rho
-          && Tuple.Map.equal Int.equal gen.Neighborhood.types
-               bnd.Neighborhood.types
-          && gen.Neighborhood.representatives = bnd.Neighborhood.representatives
-        in
-        outputs_equal := !outputs_equal && same;
-        let speedup = gen_s /. bnd_s in
-        Texttab.addf t "%s|%d|%d|%d|%d|%d|%.4f|%.4f|%.4f|%.2fx|%s" name
-          (Structure.size g) rho width (Neighborhood.ntp gen) (capacity gen)
-          gen_ext gen_s bnd_s speedup
-          (if same then "yes" else "NO");
-        if not same then failwith ("e28: bounded path diverged on " ^ name);
-        (name, width, gen_s, bnd_s, gen_ext, bnd_ext, speedup, d_bnd,
-         capacity gen, Neighborhood.ntp gen))
-      [
-        (Printf.sprintf "grid %dx%d" gside gside, grid, 2);
-        (Printf.sprintf "random n=%d d~3" nrand, sparse, 2);
-        (Printf.sprintf "biblio-xml a=%d" articles, xmltree, 2);
-      ]
-  in
-  Texttab.print t;
-  let counter_of d name =
-    match List.assoc_opt name d.Obs.counters with Some v -> v | None -> 0
-  in
-  let scalars_of
-      (name, width, gen_s, bnd_s, gen_ext, bnd_ext, speedup, d_bnd, cap, ntp) =
-    let p = String.map (function ' ' | '~' | '=' -> '_' | c -> c) name in
-    [
-      (p ^ "_width_bound", Json.Int width);
-      (p ^ "_ntp", Json.Int ntp);
-      (p ^ "_capacity", Json.Int cap);
-      (p ^ "_generic_spheres_s", Json.Float gen_ext);
-      (p ^ "_bounded_spheres_s", Json.Float bnd_ext);
-      (p ^ "_generic_typing_s", Json.Float gen_s);
-      (p ^ "_bounded_typing_s", Json.Float bnd_s);
-      (p ^ "_typing_speedup", Json.Float speedup);
-      (p ^ "_iso_bypassed", Json.Int (counter_of d_bnd "nbh.bw.iso_bypassed"));
-      (p ^ "_decompositions",
-       Json.Int (counter_of d_bnd "nbh.bw.decompositions"));
-      (p ^ "_width_fallbacks",
-       Json.Int (counter_of d_bnd "nbh.bw.width_fallbacks"));
-    ]
-  in
-  (* stable grid_* names for the CI guard, independent of the
-     size-carrying per-workload prefixes above *)
-  let grid_stable =
-    match results with
-    | (_, width, _, _, _, _, s, d_bnd, _, _) :: _ ->
-        [
-          ("grid_typing_speedup", Json.Float s);
-          ("grid_width_bound", Json.Int width);
-          ("grid_iso_bypassed",
-           Json.Int (counter_of d_bnd "nbh.bw.iso_bypassed"));
-          ("grid_width_fallbacks",
-           Json.Int (counter_of d_bnd "nbh.bw.width_fallbacks"));
-        ]
-    | [] -> [ ("grid_typing_speedup", Json.Float 0.0) ]
-  in
-  record_scalars ~experiment:"e28"
-    (List.concat_map scalars_of results
-    @ grid_stable
-    @ [ ("outputs_equal", Json.Bool !outputs_equal) ]);
-  Printf.printf
-    "Per workload the bound is the surveyed max sphere width, so every\n\
-     sphere takes the decomposition-code path and exact iso runs only\n\
-     once per code group.  Typing time is the codes+prep+classify timer\n\
-     total: the bounded path's decomposition probes, canonical codes\n\
-     and grouping are charged against the prep+classify work they\n\
-     replace, and sphere extraction (identical on both paths) is the\n\
-     separate spheres column.  Outputs are asserted bit-identical\n\
-     in-bench; grid_typing_speedup and outputs_equal feed the >= 2x CI\n\
-     guard.\n"
-
 (* ------------------------------------------------------------------ *)
 
 let experiments =
@@ -2671,7 +2487,7 @@ let experiments =
     ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11); ("e12", e12);
     ("e13", e13); ("e14", e14); ("e15", e15); ("e16", e16); ("e17", e17); ("e18", e18);
     ("e19", e19); ("e20", e20); ("e21", e21); ("e22", e22); ("e23", e23);
-    ("e24", e24); ("e25", e25); ("e26", e26); ("e27", e27); ("e28", e28);
+    ("e24", e24); ("e25", e25); ("e26", e26); ("e27", e27);
   ]
 
 let () =
@@ -2680,11 +2496,6 @@ let () =
     | [] -> (List.rev acc, jobs, json)
     | "--jobs" :: v :: rest -> parse acc (int_of_string_opt v) json rest
     | "--json" :: path :: rest -> parse acc jobs (Some path) rest
-    | "--width-bound" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some k when k >= 0 -> Neighborhood.set_width_bound (Some k)
-        | _ -> Printf.eprintf "ignoring --width-bound %s\n" v);
-        parse acc jobs json rest
     | a :: rest -> parse (a :: acc) jobs json rest
   in
   let args, jobs_arg, json_path = parse [] None None args in

@@ -40,7 +40,7 @@ let results_term =
   Arg.(value & opt string "v" & info [ "results" ] ~docv:"VARS" ~doc)
 
 let rho_term =
-  let doc = "Locality rank (default: Gaifman bound of the formula)." in
+  let doc = "Locality rank rho of the neighborhood types (nonnegative)." in
   Arg.(value & opt (some int) (Some 1) & info [ "rho" ] ~docv:"RHO" ~doc)
 
 let epsilon_term =
@@ -66,25 +66,6 @@ let set_jobs = function
   | Some j when j < 1 ->
       failwith (Printf.sprintf "--jobs %d: must be a positive worker count" j)
   | Some _ as j -> Par.set_jobs j
-  | None -> ()
-
-let width_term =
-  let doc =
-    "Bounded-width typing fast path (DESIGN.md 5.14): spheres whose \
-     min-degree tree decomposition has width at most $(docv) are typed by \
-     canonical decomposition codes instead of per-tuple isomorphism preps; \
-     wider spheres fall back to the generic path.  0 forces the generic \
-     path; default: $(b,WMARK_WIDTH_BOUND) or off.  Results are \
-     bit-identical for every value ($(b,wmark info) prints the per-sphere \
-     max width to bound against)."
-  in
-  Arg.(value & opt (some int) None & info [ "width-bound" ] ~docv:"K" ~doc)
-
-let set_width_bound = function
-  | Some k when k < 0 ->
-      failwith
-        (Printf.sprintf "--width-bound %d: must be a nonnegative width" k)
-  | Some _ as k -> Neighborhood.set_width_bound k
   | None -> ()
 
 let stats_term =
@@ -123,8 +104,16 @@ let out_term =
   Arg.(required & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE" ~doc)
 
 let bits_term =
-  let doc = "Message length in bits." in
-  Arg.(required & opt (some int) None & info [ "bits" ] ~docv:"N" ~doc)
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n > 0 -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  let doc = "Message length in bits (positive)." in
+  Arg.(required & opt (some positive) None & info [ "bits" ] ~docv:"N" ~doc)
 
 let message_term =
   let doc = "Message as a non-negative integer." in
@@ -183,10 +172,9 @@ let handle f =
 (* info *)
 
 let info_cmd =
-  let run file query params results rho epsilon seed jobs width stats trace =
+  let run file query params results rho epsilon seed jobs stats trace =
     handle @@ fun () ->
     set_jobs jobs;
-    set_width_bound width;
     with_obs ~stats ~trace @@ fun () ->
     let ws, _, scheme =
       prepare_scheme file ~query ~params ~results ~rho ~epsilon ~seed
@@ -201,35 +189,23 @@ let info_cmd =
     Printf.printf "capacity       : %d bits\n" r.Local_scheme.pairs_selected;
     Printf.printf "budget         : %d (certified max distortion %d)\n"
       r.Local_scheme.budget r.Local_scheme.max_split;
-    (* Width survey for the bounded-width fast path: the instance-level
-       heuristic treewidth, and the max over the per-sphere decompositions
-       the fast path actually probes — any --width-bound at or above the
-       latter routes every sphere through the decomposition codes. *)
-    let g = ws.Weighted.graph in
     Printf.printf "treewidth      : <= %d (min-degree heuristic)\n"
-      (Treewidth.heuristic_width g);
-    Printf.printf
-      "sphere width   : max %d at rho %d (use --width-bound >= this to \
-       bypass iso typing)\n"
-      (Neighborhood.max_sphere_width g ~rho:r.Local_scheme.rho)
-      r.Local_scheme.rho
+      (Treewidth.heuristic_width ws.Weighted.graph)
   in
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   Cmd.v
     (Cmd.info "info" ~doc:"Report a scheme's capacity and certificates.")
     Term.(
       const run $ file $ query_term $ params_term $ results_term $ rho_term
-      $ epsilon_term $ seed_term $ jobs_term $ width_term $ stats_term
-      $ trace_term)
+      $ epsilon_term $ seed_term $ jobs_term $ stats_term $ trace_term)
 
 (* mark *)
 
 let mark_cmd =
-  let run file query params results rho epsilon seed jobs width stats trace
-      message bits out =
+  let run file query params results rho epsilon seed jobs stats trace message
+      bits out =
     handle @@ fun () ->
     set_jobs jobs;
-    set_width_bound width;
     with_obs ~stats ~trace @@ fun () ->
     let ws, _, scheme =
       prepare_scheme file ~query ~params ~results ~rho ~epsilon ~seed
@@ -248,17 +224,16 @@ let mark_cmd =
     (Cmd.info "mark" ~doc:"Embed a message into a weighted structure.")
     Term.(
       const run $ file $ query_term $ params_term $ results_term $ rho_term
-      $ epsilon_term $ seed_term $ jobs_term $ width_term $ stats_term
-      $ trace_term $ message_term $ bits_term $ out_term)
+      $ epsilon_term $ seed_term $ jobs_term $ stats_term $ trace_term
+      $ message_term $ bits_term $ out_term)
 
 (* detect *)
 
 let detect_cmd =
-  let run original suspect query params results rho epsilon seed jobs width
-      stats trace bits =
+  let run original suspect query params results rho epsilon seed jobs stats
+      trace bits =
     handle @@ fun () ->
     set_jobs jobs;
-    set_width_bound width;
     with_obs ~stats ~trace @@ fun () ->
     let ws, _, scheme =
       prepare_scheme original ~query ~params ~results ~rho ~epsilon ~seed
@@ -277,18 +252,17 @@ let detect_cmd =
     (Cmd.info "detect" ~doc:"Read a mark back from a suspect copy.")
     Term.(
       const run $ original $ suspect $ query_term $ params_term $ results_term
-      $ rho_term $ epsilon_term $ seed_term $ jobs_term $ width_term
-      $ stats_term $ trace_term $ bits_term)
+      $ rho_term $ epsilon_term $ seed_term $ jobs_term $ stats_term
+      $ trace_term $ bits_term)
 
 (* update — apply an edit script, reindex incrementally, report the
    Theorem 7/8 keep-vs-remark decision *)
 
 let update_cmd =
-  let run file edits_path query params results rho epsilon seed jobs width
-      stats trace out =
+  let run file edits_path query params results rho epsilon seed jobs stats
+      trace out =
     handle @@ fun () ->
     set_jobs jobs;
-    set_width_bound width;
     with_obs ~stats ~trace @@ fun () ->
     let ws, q, scheme =
       prepare_scheme file ~query ~params ~results ~rho ~epsilon ~seed
@@ -366,7 +340,7 @@ let update_cmd =
           (Theorem 8).")
     Term.(
       const run $ file $ edits $ query_term $ params_term $ results_term
-      $ rho_term $ epsilon_term $ seed_term $ jobs_term $ width_term
+      $ rho_term $ epsilon_term $ seed_term $ jobs_term
       $ stats_term $ trace_term $ out)
 
 (* capacity *)
@@ -460,11 +434,10 @@ let perturb_cmd =
 (* attack — the full survivability grid *)
 
 let attack_cmd =
-  let run file query params results rho epsilon seed jobs width stats trace
-      bits redundancies csv json only =
+  let run file query params results rho epsilon seed jobs stats trace bits
+      redundancies csv json only =
     handle @@ fun () ->
     set_jobs jobs;
-    set_width_bound width;
     with_obs ~stats ~trace @@ fun () ->
     let ws, workload =
       match file with
@@ -533,8 +506,8 @@ let attack_cmd =
           re-detect.")
     Term.(
       const run $ file $ query_dflt $ params_term $ results_term $ rho_term
-      $ epsilon_term $ seed_term $ jobs_term $ width_term $ stats_term
-      $ trace_term $ bits $ redundancies $ csv $ json $ only)
+      $ epsilon_term $ seed_term $ jobs_term $ stats_term $ trace_term $ bits
+      $ redundancies $ csv $ json $ only)
 
 (* ------------------------------------------------------------------ *)
 (* fingerprint / trace — multi-recipient marking and traitor tracing *)
@@ -995,12 +968,9 @@ let serve_loop engine ic oc =
   go 0
 
 let serve_cmd =
-  let run dir socket jobs width stats trace =
+  let run dir socket jobs stats trace =
     handle @@ fun () ->
     set_jobs jobs;
-    (* Engine index/update requests go through Shard.index ->
-       Neighborhood.index, which honor the process-wide bound. *)
-    set_width_bound width;
     (* The stats endpoint and the per-endpoint serve.lat.* histograms
        only exist while collection is on; a server always collects. *)
     Obs.set_enabled true;
@@ -1058,8 +1028,7 @@ let serve_cmd =
          "Serve mark/detect/update/audit requests over length-prefixed \
           frames (qpwm-serve/1).")
     Term.(
-      const run $ dir $ socket $ jobs_term $ width_term $ stats_term
-      $ trace_term)
+      const run $ dir $ socket $ jobs_term $ stats_term $ trace_term)
 
 let main =
   let doc = "query-preserving watermarking of relational databases and XML" in

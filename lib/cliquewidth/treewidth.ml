@@ -2,10 +2,9 @@ module Iset = Set.Make (Int)
 
 type t = { bags : int list array; edges : (int * int) list }
 
-(* The elimination engine lives in Wm_relational.Tdecomp (the
-   neighborhood indexer's bounded-width fast path runs it on per-sphere
-   sub-Gaifman graphs and cannot depend on this library); this module
-   keeps the structure-level API and the exact validity checker. *)
+(* The elimination engine lives in Wm_relational.Tdecomp, next to the
+   Gaifman graphs it decomposes; this module keeps the structure-level
+   API and the exact validity checker. *)
 let of_decomp (d : Tdecomp.t) =
   { bags = Array.map Array.to_list d.Tdecomp.bags; edges = d.Tdecomp.edges }
 

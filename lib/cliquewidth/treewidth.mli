@@ -30,8 +30,7 @@ val by_min_degree : Structure.t -> t
     the elimination cliques, glued in elimination order (one tree, even on
     disconnected structures).  Always valid (checked by the tests); the
     width is an upper bound on the true tree-width, exact on chordal
-    graphs.  Delegates to {!Tdecomp.eliminate}, the engine shared with
-    the neighborhood indexer's bounded-width fast path. *)
+    graphs.  Delegates to {!Tdecomp.eliminate}. *)
 
 val by_min_fill : Structure.t -> t
 (** The min-fill elimination heuristic: eliminate the vertex whose

@@ -45,15 +45,12 @@ module Par = Wm_par.Pool
 module Tuple = Wm_relational.Tuple
 module Schema = Wm_relational.Schema
 module Relation = Wm_relational.Relation
-module Relation_ref = Wm_relational.Relation_ref
 module Structure = Wm_relational.Structure
 module Weighted = Wm_relational.Weighted
-module Weighted_ref = Wm_relational.Weighted_ref
 module Gaifman = Wm_relational.Gaifman
 module Tdecomp = Wm_relational.Tdecomp
 module Iso = Wm_relational.Iso
 module Neighborhood = Wm_relational.Neighborhood
-module Neighborhood_ref = Wm_relational.Neighborhood_ref
 module Textio = Wm_relational.Textio
 
 (* logic *)

@@ -22,79 +22,12 @@ let c_affected_elements = Obs.counter "nbh.reindex.affected_elements"
 let c_affected_tuples = Obs.counter "nbh.reindex.affected_tuples"
 let c_anchors = Obs.counter "nbh.reindex.anchors"
 let c_fallbacks = Obs.counter "nbh.reindex.threshold_fallbacks"
-let c_bw_decomps = Obs.counter "nbh.bw.decompositions"
-let c_bw_decomp_hits = Obs.counter "nbh.bw.decomp_cache_hits"
-let c_bw_groups = Obs.counter "nbh.bw.groups"
-let c_bw_bypassed = Obs.counter "nbh.bw.iso_bypassed"
-let c_bw_fallbacks = Obs.counter "nbh.bw.width_fallbacks"
-let c_bw_max_width = Obs.counter "nbh.bw.max_width_seen"
 let t_index = Obs.timer "nbh.index"
 let t_reindex = Obs.timer "nbh.reindex"
 let t_spheres = Obs.timer "nbh.index.spheres"
-let t_codes = Obs.timer "nbh.index.codes"
 let t_prep = Obs.timer "nbh.index.prep"
 let t_classify = Obs.timer "nbh.index.classify"
 let t_renumber = Obs.timer "nbh.index.renumber"
-
-(* [nbh.bw.max_width_seen] is a high-water mark dressed as a counter:
-   counters merge across domains by summation, so the running max lives
-   in a process-global atomic and only the *increase* is added to the
-   counter — the deltas telescope to the max.  Widths above the active
-   bound are recorded as bound + 1 (the probe aborts there). *)
-let bw_max_seen = Atomic.make 0
-
-let note_width w =
-  let rec go () =
-    let cur = Atomic.get bw_max_seen in
-    if w > cur then
-      if Atomic.compare_and_set bw_max_seen cur w then
-        Obs.add c_bw_max_width (w - cur)
-      else go ()
-  in
-  go ()
-
-(* --- width-bound resolution (DESIGN.md 5.14) ------------------------
-   ?width_bound argument > set_width_bound > WMARK_WIDTH_BOUND > off.
-   [None] means the generic typing path; [Some k] enables the bounded
-   decomposition-code path for spheres of heuristic width <= k.  The
-   environment is parsed once at module initialization, mirroring
-   Pool.env_jobs, so a mis-set CI variable warns exactly once. *)
-
-let env_width_bound =
-  match Sys.getenv_opt "WMARK_WIDTH_BOUND" with
-  | None -> None
-  | Some s -> (
-      match String.trim s with
-      | "" | "0" -> None
-      | ts -> (
-          match int_of_string_opt ts with
-          | Some k when k >= 1 -> Some k
-          | _ ->
-              Printf.eprintf
-                "wmark: ignoring WMARK_WIDTH_BOUND=%s (not a nonnegative \
-                 integer), using the generic typing path\n\
-                 %!"
-                (Filename.quote s);
-              None))
-
-let wb_override : int option option Atomic.t = Atomic.make None
-
-let set_width_bound = function
-  | None -> Atomic.set wb_override None
-  | Some k when k < 0 ->
-      invalid_arg "Neighborhood.set_width_bound: bound must be >= 0"
-  | Some 0 -> Atomic.set wb_override (Some None)
-  | Some k -> Atomic.set wb_override (Some (Some k))
-
-let width_bound () =
-  match Atomic.get wb_override with Some b -> b | None -> env_width_bound
-
-let resolve_bound = function
-  | Some k when k < 0 ->
-      invalid_arg "Neighborhood: width_bound must be >= 0"
-  | Some 0 -> None
-  | Some k -> Some k
-  | None -> width_bound ()
 
 let iso_check pa pb =
   Obs.incr c_iso_checks;
@@ -173,45 +106,17 @@ let all_tuples_array g ~arity =
    parallel phases read frozen entries, which keeps the pool's
    bit-identical-for-every-job-count contract. *)
 
-(* Per-sphere decomposition data for the bounded path: the min-degree
-   tree decomposition of the sphere's sub-Gaifman graph (over the
-   sphere-local ascending renaming, which is center-independent and so
-   shared by every tuple with this sphere) plus iso-invariant vertex
-   colors.  [d_dec] is an aborted width probe when [d_width] exceeds the
-   bound — such spheres fall back to the generic per-tuple prep. *)
-type dinfo = {
-  mutable d_id : int;
-      (* dense per-ctx id, assigned sequentially after the parallel
-         probe pass: the dedup key for per-tuple canonical codes
-         ((d_id, center labels) determines the code).  [-1] until
-         assigned; never assigned on the uncached path, which computes
-         codes directly. *)
-  d_width : int;
-  d_dec : Tdecomp.t;
-  d_colors : int array;
-  d_rels : (int * int * int array array) array;
-      (* (rel_id, arity, sphere-locally renamed member tuples),
-         rel_id-ascending — precomputed so the per-tuple encoder only
-         applies the canonical relabeling and sorts *)
-}
-
 type ctx = {
   cg : Structure.t;
   cgf : Gaifman.t;
   crho : int;
   use_cache : bool;
-  bound : int option;
-  rel_id : (string, int) Hashtbl.t;
-      (* schema name -> dense id, name-sorted: an injective, structure-
-         independent relation code for the flat sphere encodings *)
   incident : (string * Tuple.t) list array;
   spheres : int array option array;
   groups : (int array, (string * Tuple.t) list option ref) Hashtbl.t;
-  decomps : (int array, dinfo option ref) Hashtbl.t;
-  mutable next_did : int;  (* next dinfo id (sequential phases only) *)
 }
 
-let make_ctx ?(use_cache = true) ?bound g gf ~rho =
+let make_ctx ?(use_cache = true) g gf ~rho =
   let n = Structure.size g in
   let incident = Array.make n [] in
   Structure.fold_relations
@@ -226,23 +131,14 @@ let make_ctx ?(use_cache = true) ?bound g gf ~rho =
             t)
         r)
     g ();
-  let rel_id = Hashtbl.create 8 in
-  let names = Structure.fold_relations (fun name _ acc -> name :: acc) g [] in
-  List.iteri
-    (fun i name -> Hashtbl.replace rel_id name i)
-    (List.sort compare names);
   {
     cg = g;
     cgf = gf;
     crho = rho;
     use_cache;
-    bound;
-    rel_id;
     incident;
     spheres = Array.make n None;
     groups = Hashtbl.create 256;
-    decomps = Hashtbl.create 256;
-    next_did = 0;
   }
 
 (* Tuples of the structure lying entirely inside the sphere [s] (sorted
@@ -276,228 +172,6 @@ let members_in ctx s =
 
 let icmp (a : int) b = compare a b
 
-(* Index of [y] in the sorted sphere array [s]; [y] must be a member. *)
-let idx_sorted (s : int array) y =
-  let lo = ref 0 and hi = ref (Array.length s - 1) and r = ref (-1) in
-  while !r < 0 && !lo <= !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    let v = s.(mid) in
-    if v = y then r := mid else if v < y then lo := mid + 1 else hi := mid - 1
-  done;
-  !r
-
-(* --- the bounded-width fast path (DESIGN.md 5.14) -------------------
-
-   When a width bound k is active, each distinct renamed sphere shape
-   gets one decomposition probe: rename the sphere to 0..|s|-1 in
-   ascending element order (center-independent, so the result is shared
-   by every tuple with this sphere), key it by the injective flat
-   encoding of its renamed member list — equal keys are literally the
-   same renamed structure, so on translation-regular instances (grids,
-   paths, balanced trees) thousands of spheres collapse onto a handful
-   of representatives — and run bitmask min-degree elimination capped at
-   k on each representative.  Spheres within the bound are typed by a
-   {e canonical decomposition code} per tuple — a flat int encoding of
-   the whole pointed sphere under the relabeling the rooted
-   decomposition induces, computed once per distinct (shape, center
-   labels) pair — and tuples with equal codes inherit their group
-   leader's materialization and classification outright.
-
-   Soundness is one-directional by construction: the encoding lists
-   every member tuple of every relation under a bijective relabeling,
-   so equal codes imply isomorphic pointed spheres {e exactly} — a
-   group member is genuinely isomorphic to its leader, and inheriting
-   the leader's (cheap key, certificate, prep) triple and in-bucket
-   match reproduces what the generic scan would have computed for it.
-   The converse (isomorphic spheres getting equal codes) is heuristic —
-   the relabeling depends on the min-degree decomposition — and a miss
-   only costs a redundant leader, never a wrong type: leaders still go
-   through the exact certificate-bucketed isomorphism scan.  Output is
-   therefore bit-identical to the generic path at every job count. *)
-
-let popcount x =
-  let c = ref 0 and x = ref x in
-  while !x <> 0 do
-    x := !x land (!x - 1);
-    incr c
-  done;
-  !c
-
-(* Sphere-locally renamed member tuples tagged with their dense relation
-   ids, in member-scan order. *)
-let rename_members ctx s members =
-  List.map
-    (fun (name, t) ->
-      (Hashtbl.find ctx.rel_id name, Array.map (fun x -> idx_sorted s x) t))
-    members
-
-(* Flat injective key of a renamed member list: [k; rel_id; arity;
-   elems...; rel_id; arity; elems...] is uniquely decodable, so equal
-   keys mean literally the same renamed structure.  Everything the
-   bounded path derives per sphere (decomposition, colors, relation
-   tables, and — given center labels — the canonical code) is a
-   deterministic function of this key, which is what makes sharing one
-   [dinfo] across equal-key spheres sound.  On translation-regular
-   instances (grids, long paths, balanced trees) almost every sphere
-   collapses onto a handful of representatives. *)
-let rep_key k rmembers =
-  let total =
-    List.fold_left (fun acc (_, rt) -> acc + 2 + Array.length rt) 1 rmembers
-  in
-  let out = Array.make total 0 in
-  out.(0) <- k;
-  let p = ref 1 in
-  List.iter
-    (fun (id, rt) ->
-      let a = Array.length rt in
-      out.(!p) <- id;
-      out.(!p + 1) <- a;
-      Array.blit rt 0 out (!p + 2) a;
-      p := !p + 2 + a)
-    rmembers;
-  out
-
-(* Int-array-keyed tables that hash the whole key: the stdlib
-   polymorphic hash stops after ten meaningful words, and sphere keys
-   share long common prefixes. *)
-module Key = struct
-  type t = int array
-
-  let equal (a : int array) b = a = b
-  let hash a = Array.fold_left (fun h x -> Iso.mix h x) (Array.length a) a
-end
-
-module Ktbl = Hashtbl.Make (Key)
-
-let dinfo_of ~bound k rmembers =
-  Obs.incr c_bw_decomps;
-  (* Word-sized spheres (every bounded-width workload in practice) get
-     bitmask adjacency straight from the renamed member tuples; larger
-     spheres fall back to the CSR Gaifman build. *)
-  let dec, degree =
-    if k <= 62 then begin
-      let adj = Array.make k 0 in
-      List.iter
-        (fun (_, rt) ->
-          let a = Array.length rt in
-          for i = 0 to a - 1 do
-            for j = 0 to a - 1 do
-              if i <> j && rt.(i) <> rt.(j) then
-                adj.(rt.(i)) <- adj.(rt.(i)) lor (1 lsl rt.(j))
-            done
-          done)
-        rmembers;
-      (Tdecomp.eliminate_masks ~cap:bound adj, fun v -> popcount adj.(v))
-    end
-    else begin
-      let gf_s = Gaifman.of_tuples ~n:k (List.map snd rmembers) in
-      (Tdecomp.eliminate ~cap:bound gf_s, Gaifman.degree gf_s)
-    end
-  in
-  note_width dec.Tdecomp.width;
-  if dec.Tdecomp.width > bound then
-    (* aborted probe: the sphere falls back to the generic path, so the
-       colors and relation tables are never consulted *)
-    {
-      d_id = -1;
-      d_width = dec.Tdecomp.width;
-      d_dec = dec;
-      d_colors = [||];
-      d_rels = [||];
-    }
-  else begin
-    (* Iso-invariant vertex colors: degree plus the sorted multiset of
-       (relation id, position) incidences.  Relation ids are name-sorted
-       dense ids, fixed per ctx, so the invariant holds across every
-       sphere one index call compares. *)
-    let inc = Array.make k [] in
-    List.iter
-      (fun (id, rt) ->
-        Array.iteri (fun pos v -> inc.(v) <- Iso.mix id pos :: inc.(v)) rt)
-      rmembers;
-    let colors =
-      Array.init k (fun v ->
-          let l = List.sort icmp inc.(v) in
-          List.fold_left Iso.mix (Iso.mix 0x811c9dc5 (degree v)) l)
-    in
-    let by_rel : (int, int array list ref) Hashtbl.t = Hashtbl.create 8 in
-    List.iter
-      (fun (id, rt) ->
-        match Hashtbl.find_opt by_rel id with
-        | Some l -> l := rt :: !l
-        | None -> Hashtbl.add by_rel id (ref [ rt ]))
-      rmembers;
-    let d_rels =
-      Array.of_list
-        (List.sort
-           (fun (a, _, _) (b, _, _) -> icmp a b)
-           (Hashtbl.fold
-              (fun id l acc ->
-                let ts = Array.of_list !l in
-                (id, Array.length ts.(0), ts) :: acc)
-              by_rel []))
-    in
-    { d_id = -1; d_width = dec.Tdecomp.width; d_dec = dec; d_colors = colors; d_rels }
-  end
-
-let build_dinfo ctx s members ~bound =
-  dinfo_of ~bound (Array.length s) (rename_members ctx s members)
-
-(* The flat injective encoding of one pointed sphere under the
-   decomposition's canonical relabeling.  Every component is length-
-   prefixed, so the encoding is uniquely decodable: equal arrays imply
-   equal renamed structures, centers included. *)
-let cmp_tuple (a : int array) (b : int array) =
-  (* same-arity lexicographic; arity differences can't arise within a
-     relation but keep the order total anyway *)
-  let la = Array.length a and lb = Array.length b in
-  if la <> lb then icmp la lb
-  else begin
-    let i = ref 0 and r = ref 0 in
-    while !r = 0 && !i < la do
-      r := icmp a.(!i) b.(!i);
-      incr i
-    done;
-    !r
-  end
-
-let code_of di cl =
-  let k = Array.length di.d_colors in
-  let colors =
-    if Array.length cl = 0 then di.d_colors
-    else begin
-      let cp = Array.copy di.d_colors in
-      Array.iteri (fun j v -> cp.(v) <- Iso.mix cp.(v) (j + 1)) cl;
-      cp
-    end
-  in
-  let pi = Tdecomp.canonical_labels di.d_dec ~colors ~root:cl.(0) in
-  let total =
-    Array.fold_left
-      (fun acc (_, ar, ts) -> acc + 3 + (ar * Array.length ts))
-      (2 + Array.length cl) di.d_rels
-  in
-  let out = Array.make total 0 in
-  let p = ref 0 in
-  let push x =
-    out.(!p) <- x;
-    incr p
-  in
-  push k;
-  push (Array.length cl);
-  Array.iter (fun v -> push pi.(v)) cl;
-  Array.iter
-    (fun (id, ar, ts) ->
-      push id;
-      push (Array.length ts);
-      push ar;
-      let mapped = Array.map (Array.map (fun v -> pi.(v))) ts in
-      Array.sort cmp_tuple mapped;
-      Array.iter (fun t -> Array.iter push t) mapped)
-    di.d_rels;
-  out
-
-(* Sorted union of the (cached) element spheres of [c]. *)
 let sphere_union ctx c =
   let sphere_of x =
     match ctx.spheres.(x) with
@@ -586,151 +260,12 @@ let materialize ctx tups =
       | None -> assert false
     else members_in ctx s
   in
-  let nt = Array.length tups in
-  (* Phase C' (bounded path): probe each distinct sphere's decomposition
-     once (parallel over fresh spheres when the cache is on), then derive
-     one canonical code per tuple (parallel) and group equal codes
-     (sequential).  grp.(i) is the slot whose materialization slot i
-     inherits; leaders have grp.(i) = i. *)
-  let grp = Array.init nt (fun i -> i) in
-  (match ctx.bound with
-   | None -> ()
-   | Some bound ->
-       Obs.span t_codes @@ fun () ->
-       if ctx.use_cache then begin
-         let dfresh = ref [] in
-         Array.iter
-           (fun s ->
-             if Hashtbl.mem ctx.decomps s then Obs.incr c_bw_decomp_hits
-             else begin
-               Hashtbl.add ctx.decomps s (ref None);
-               dfresh := s :: !dfresh
-             end)
-           sets;
-         let dfresh = Array.of_list (List.rev !dfresh) in
-         (* Rename each fresh sphere and dedup on the injective renamed
-            key: equal-key spheres are the same structure up to the
-            renaming, so one decomposition probe serves them all.  Only
-            distinct shapes reach the (parallel) probe. *)
-         let nf = Array.length dfresh in
-         let rens =
-           Array.map (fun s -> rename_members ctx s (members_of s)) dfresh
-         in
-         let ktbl = Ktbl.create (max 16 nf) in
-         let uid = Array.make nf 0 in
-         let uniq = ref [] and nu = ref 0 in
-         Array.iteri
-           (fun i s ->
-             let key = rep_key (Array.length s) rens.(i) in
-             match Ktbl.find_opt ktbl key with
-             | Some u ->
-                 uid.(i) <- u;
-                 Obs.incr c_bw_decomp_hits
-             | None ->
-                 Ktbl.add ktbl key !nu;
-                 uid.(i) <- !nu;
-                 uniq := i :: !uniq;
-                 incr nu)
-           dfresh;
-         let uniq = Array.of_list (List.rev !uniq) in
-         let udinfos =
-           Wm_par.Pool.parallel_map
-             (fun i -> dinfo_of ~bound (Array.length dfresh.(i)) rens.(i))
-             uniq
-         in
-         Array.iter
-           (fun di ->
-             di.d_id <- ctx.next_did;
-             ctx.next_did <- ctx.next_did + 1)
-           udinfos;
-         Array.iteri
-           (fun i s -> Hashtbl.find ctx.decomps s := Some udinfos.(uid.(i)))
-           dfresh
-       end;
-       let codes =
-         if not ctx.use_cache then
-           Wm_par.Pool.parallel_mapi
-             (fun i c ->
-               if Array.length c = 0 then None
-               else begin
-                 let s = sets.(i) in
-                 let di = build_dinfo ctx s (members_of s) ~bound in
-                 if di.d_width > bound then begin
-                   Obs.incr c_bw_fallbacks;
-                   None
-                 end
-                 else
-                   Some (code_of di (Array.map (fun x -> idx_sorted s x) c))
-               end)
-             tups
-         else begin
-           (* Per-tuple codes are a function of (shared dinfo, center
-              labels); dedup on that pair so each distinct pointed shape
-              is encoded once, then fan the codes back out. *)
-           let slot = Array.make nt (-1) in
-           let ctbl = Ktbl.create (max 16 nt) in
-           let uwork = ref [] and nu = ref 0 in
-           Array.iteri
-             (fun i c ->
-               if Array.length c > 0 then begin
-                 let di =
-                   match !(Hashtbl.find ctx.decomps sets.(i)) with
-                   | Some di -> di
-                   | None -> assert false
-                 in
-                 if di.d_width > bound then Obs.incr c_bw_fallbacks
-                 else begin
-                   let s = sets.(i) in
-                   let cl = Array.map (fun x -> idx_sorted s x) c in
-                   let ckey = Array.make (1 + Array.length cl) di.d_id in
-                   Array.iteri (fun j v -> ckey.(j + 1) <- v) cl;
-                   match Ktbl.find_opt ctbl ckey with
-                   | Some u -> slot.(i) <- u
-                   | None ->
-                       Ktbl.add ctbl ckey !nu;
-                       slot.(i) <- !nu;
-                       uwork := (di, cl) :: !uwork;
-                       incr nu
-                 end
-               end)
-             tups;
-           let uwork = Array.of_list (List.rev !uwork) in
-           let ucodes =
-             Wm_par.Pool.parallel_map
-               (fun (di, cl) -> code_of di cl)
-               uwork
-           in
-           Array.map
-             (fun u -> if u < 0 then None else Some ucodes.(u))
-             slot
-         end
-       in
-       let tbl : (int array, int) Hashtbl.t = Hashtbl.create (max 16 nt) in
-       Array.iteri
-         (fun i code ->
-           match code with
-           | None -> ()
-           | Some cd -> (
-               match Hashtbl.find_opt tbl cd with
-               | Some l ->
-                   grp.(i) <- l;
-                   Obs.incr c_bw_bypassed
-               | None -> Hashtbl.add tbl cd i))
-         codes;
-       Obs.add c_bw_groups (Hashtbl.length tbl));
-  (* Phase D (parallel): per-leader substructure, sub-Gaifman graph,
-     cheap key, certificate, refinement prep.  Group members inherit
-     their leader's triple — physically the same prep, so every
-     downstream isomorphism answer is the one the leader gets. *)
-  let leaders = ref [] in
-  Array.iteri (fun i l -> if l = i then leaders := i :: !leaders) grp;
-  let leaders = Array.of_list (List.rev !leaders) in
+  (* Phase D (parallel): per-tuple substructure, sub-Gaifman graph,
+     cheap key, certificate, refinement prep. *)
   let schema = Structure.schema ctx.cg in
-  let lkeyed =
-    Obs.span t_prep @@ fun () ->
-    Wm_par.Pool.parallel_map
-    (fun i ->
-      let c = tups.(i) in
+  Obs.span t_prep @@ fun () ->
+  Wm_par.Pool.parallel_mapi
+    (fun i c ->
       let s = sets.(i) in
       let members = members_of s in
       let k = Array.length s in
@@ -777,15 +312,7 @@ let materialize ctx tups =
       Array.iter (fun d -> h := Iso.mix !h d) degs;
       List.iter (fun x -> h := Iso.mix !h x) center;
       (!h, Iso.certificate_of_prep prep, prep))
-    leaders
-  in
-  let slot = Array.make nt None in
-  Array.iteri (fun j i -> slot.(i) <- Some lkeyed.(j)) leaders;
-  let keyed =
-    Array.init nt (fun i ->
-        match slot.(grp.(i)) with Some k -> k | None -> assert false)
-  in
-  (keyed, grp)
+    tups
 
 let distinct_tuples tuples =
   (* first-occurrence order, which fixes the type-id numbering *)
@@ -804,7 +331,7 @@ let run_index ctx tups ~rho ~arity =
   Obs.add c_tuples_typed n;
   (* Phase 1 (parallel): materialize every neighborhood's classification
      data through the shared context. *)
-  let keyed, grp = Obs.span t_spheres @@ fun () -> materialize ctx tups in
+  let keyed = Obs.span t_spheres @@ fun () -> materialize ctx tups in
   (* Phase 2 (sequential, cheap): group slots into buckets keyed by
      (cheap invariants, certificate), keeping first-seen order both of
      buckets and within each bucket. *)
@@ -831,39 +358,22 @@ let run_index ctx tups ~rho ~arity =
      slot we record its leader: the slot of the first bucket member it
      is isomorphic to.  Representatives of one bucket are pairwise
      non-isomorphic, so a member matches at most one of them and the
-     leader is well defined regardless of search order.  A slot whose
-     materialization group leader (grp, bounded path) sits earlier in
-     the same bucket — it shares the triple, so it must — copies that
-     slot's answer without scanning: its prep is physically the
-     leader's, so the scan could only repeat the leader's matches. *)
+     leader is well defined regardless of search order. *)
   let leader = Array.make n (-1) in
   let classified =
     Obs.span t_classify @@ fun () ->
     Wm_par.Pool.parallel_map
       (fun slots ->
         let reps = ref [] in
-        let local : (int, int) Hashtbl.t = Hashtbl.create 16 in
         let leaders =
           Array.map
             (fun i ->
-              let l =
-                if grp.(i) <> i then
-                  match Hashtbl.find_opt local grp.(i) with
-                  | Some l -> l
-                  | None -> assert false (* same triple => same bucket *)
-                else begin
-                  let _, _, prep = keyed.(i) in
-                  match
-                    List.find_opt (fun (_, rep) -> iso_check prep rep) !reps
-                  with
-                  | Some (l, _) -> l
-                  | None ->
-                      reps := (i, prep) :: !reps;
-                      i
-                end
-              in
-              Hashtbl.replace local i l;
-              l)
+              let _, _, prep = keyed.(i) in
+              match List.find_opt (fun (_, rep) -> iso_check prep rep) !reps with
+              | Some (l, _) -> l
+              | None ->
+                  reps := (i, prep) :: !reps;
+                  i)
             slots
         in
         (leaders, List.length !reps))
@@ -908,25 +418,18 @@ let run_index ctx tups ~rho ~arity =
     tups;
   { rho; arity; types = !types; representatives = Array.of_list (List.rev !reps) }
 
-let index ?(sphere_cache = true) ?width_bound g ~rho tuples =
+let index ?(sphere_cache = true) g ~rho tuples =
   Obs.span t_index @@ fun () ->
-  let bound = resolve_bound width_bound in
   let gf = Gaifman.of_structure g in
-  let ctx = make_ctx ~use_cache:sphere_cache ?bound g gf ~rho in
+  let ctx = make_ctx ~use_cache:sphere_cache g gf ~rho in
   let tups = Array.of_list (distinct_tuples tuples) in
   let arity = if Array.length tups > 0 then Array.length tups.(0) else 0 in
   run_index ctx tups ~rho ~arity
 
-let index_bounded ?sphere_cache ~width g ~rho tuples =
-  if width < 1 then
-    invalid_arg "Neighborhood.index_bounded: width must be >= 1";
-  index ?sphere_cache ~width_bound:width g ~rho tuples
-
-let index_universe ?sphere_cache ?width_bound g ~rho ~arity =
+let index_universe ?sphere_cache g ~rho ~arity =
   Obs.span t_index @@ fun () ->
-  let bound = resolve_bound width_bound in
   let gf = Gaifman.of_structure g in
-  let ctx = make_ctx ?use_cache:sphere_cache ?bound g gf ~rho in
+  let ctx = make_ctx ?use_cache:sphere_cache g gf ~rho in
   run_index ctx (all_tuples_array g ~arity) ~rho ~arity
 
 let affected_elements ~old_gf ~gf ~rho ~dirty =
@@ -937,9 +440,8 @@ let affected_elements ~old_gf ~gf ~rho ~dirty =
     (Gaifman.reach old_gf ~sources:dirty ~bound:rho
     @ Gaifman.reach gf ~sources:dirty ~bound:rho)
 
-let reindex ?(threshold = 0.5) ?width_bound ~old g ~prev ~dirty =
+let reindex ?(threshold = 0.5) ~old g ~prev ~dirty =
   Obs.span t_reindex @@ fun () ->
-  let bound = resolve_bound width_bound in
   let rho = prev.rho and arity = prev.arity in
   let old_gf = Gaifman.of_structure old in
   let gf = Gaifman.refresh g ~prev:old_gf ~dirty in
@@ -953,10 +455,10 @@ let reindex ?(threshold = 0.5) ?width_bound ~old g ~prev ~dirty =
   let affected_tuples = total -. (float_of_int (n - a_new) ** float_of_int arity) in
   if total = 0. || affected_tuples > threshold *. total then begin
     Obs.incr c_fallbacks;
-    index_universe ?width_bound g ~rho ~arity
+    index_universe g ~rho ~arity
   end
   else begin
-    let ctx = make_ctx ?bound g gf ~rho in
+    let ctx = make_ctx g gf ~rho in
     let touches c = Array.exists (fun x -> in_a.(x)) c in
     (* Anchors: for every old type that still has a member untouched by the
        affected region, any such member — its neighborhood is unchanged, so
@@ -981,10 +483,7 @@ let reindex ?(threshold = 0.5) ?width_bound ~old g ~prev ~dirty =
       done;
       Array.of_list !acc
     in
-    (* Anchors are one per surviving class, pairwise non-isomorphic, so
-       the bounded path's code grouping never merges them — the grp
-       component is irrelevant here. *)
-    let anchor_keyed, _ = materialize ctx (Array.map snd anchors) in
+    let anchor_keyed = materialize ctx (Array.map snd anchors) in
     let atbl : (int * int, (int * Iso.prep) list ref) Hashtbl.t =
       Hashtbl.create 64
     in
@@ -1004,7 +503,7 @@ let reindex ?(threshold = 0.5) ?width_bound ~old g ~prev ~dirty =
       Array.of_list (List.rev !acc)
     in
     Obs.add c_affected_tuples (Array.length at);
-    let keyed, grp = materialize ctx at in
+    let keyed = materialize ctx at in
     let btbl : (int * int, int list ref) Hashtbl.t = Hashtbl.create 64 in
     let border = ref [] in
     Array.iteri
@@ -1035,33 +534,19 @@ let reindex ?(threshold = 0.5) ?width_bound ~old g ~prev ~dirty =
             | None -> []
           in
           let reps = ref [] in
-          let local : (int, int) Hashtbl.t = Hashtbl.create 16 in
           Array.map
             (fun i ->
-              let cls =
-                if grp.(i) <> i then
-                  (* bounded path: the slot's prep is physically its
-                     group leader's, so the scan below would repeat the
-                     leader's matches — copy its class. *)
-                  match Hashtbl.find_opt local grp.(i) with
-                  | Some cls -> cls
-                  | None -> assert false (* same triple => same bucket *)
-                else begin
-                  let _, _, prep = keyed.(i) in
-                  let iso (_, r) = iso_check prep r in
-                  match List.find_opt iso anchors_here with
-                  | Some (ty, _) -> ty
-                  | None -> (
-                      match List.find_opt iso !reps with
-                      | Some (cls, _) -> cls
-                      | None ->
-                          let cls = ntp_old + i in
-                          reps := (cls, prep) :: !reps;
-                          cls)
-                end
-              in
-              Hashtbl.replace local i cls;
-              cls)
+              let _, _, prep = keyed.(i) in
+              let iso (_, r) = iso_check prep r in
+              match List.find_opt iso anchors_here with
+              | Some (ty, _) -> ty
+              | None -> (
+                  match List.find_opt iso !reps with
+                  | Some (cls, _) -> cls
+                  | None ->
+                      let cls = ntp_old + i in
+                      reps := (cls, prep) :: !reps;
+                      cls))
             slots)
         buckets
     in
@@ -1106,24 +591,3 @@ let type_of ix c =
   | Some ty -> ty
   | None -> raise Not_found
 
-(* Per-sphere width survey for `wmark info`: the min-degree heuristic
-   width of every element's rho-sphere substructure — the exact graphs
-   the bounded path probes — so users can pick a --width-bound that
-   covers (most of) the instance. *)
-let max_sphere_width g ~rho =
-  let gf = Gaifman.of_structure g in
-  let ctx = make_ctx g gf ~rho in
-  let n = Structure.size g in
-  let widths =
-    Wm_par.Pool.parallel_map
-      (fun x ->
-        let s = Gaifman.sphere_array gf ~rho x in
-        let members = members_in ctx s in
-        let renamed =
-          List.map (fun (_, t) -> Array.map (fun y -> idx_sorted s y) t) members
-        in
-        let gf_s = Gaifman.of_tuples ~n:(Array.length s) renamed in
-        Tdecomp.width (Tdecomp.eliminate gf_s))
-      (Array.init n (fun x -> x))
-  in
-  Array.fold_left max 0 widths

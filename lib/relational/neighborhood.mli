@@ -30,12 +30,7 @@ type index = {
     parameter set S. *)
 
 val index :
-  ?sphere_cache:bool ->
-  ?width_bound:int ->
-  Structure.t ->
-  rho:int ->
-  Tuple.t list ->
-  index
+  ?sphere_cache:bool -> Structure.t -> rho:int -> Tuple.t list -> index
 (** Types every listed tuple: pre-buckets by cheap invariants (sphere
     size, tuple count, degree multiset, center pattern) and by
     {!Iso.certificate}, then verifies with exact isomorphism inside each
@@ -46,54 +41,10 @@ val index :
     The fast path (DESIGN.md 5.9) memoizes element spheres per call and
     dedupes the induced-substructure member scan across tuples sharing a
     sphere; [sphere_cache:false] disables both memo tables (same result,
-    per-tuple recomputation — exists so tests can assert the identity).
-
-    [width_bound] dispatches spheres through the bounded-width
-    decomposition-code path (DESIGN.md 5.14): spheres whose min-degree
-    tree decomposition stays within the bound are typed by canonical
-    decomposition codes — equal codes imply isomorphic pointed spheres,
-    so only one tuple per code group runs the refinement prep and the
-    in-bucket isomorphism scan — while wider spheres fall back,
-    per sphere, to the generic path above.  [0] forces the generic path;
-    omitting it defers to {!set_width_bound} and then
-    [WMARK_WIDTH_BOUND].  The result is bit-identical to the generic
-    path for every bound and job count.
-    @raise Invalid_argument on a negative [width_bound]. *)
-
-val index_bounded :
-  ?sphere_cache:bool ->
-  width:int ->
-  Structure.t ->
-  rho:int ->
-  Tuple.t list ->
-  index
-(** [index] with the bounded-width path forced on: [index_bounded ~width]
-    is [index ~width_bound:width].  @raise Invalid_argument when
-    [width < 1] (use [index] to run the generic path). *)
-
-val set_width_bound : int option -> unit
-(** Process-wide width bound for {!index}/{!index_universe}/{!reindex}
-    calls that don't pass [?width_bound]: [Some k] (k >= 1) enables the
-    bounded path, [Some 0] forces the generic path, [None] falls back to
-    the [WMARK_WIDTH_BOUND] environment variable (unset, empty or [0]:
-    generic).  @raise Invalid_argument on a negative bound. *)
-
-val width_bound : unit -> int option
-(** The bound that would apply to a call without [?width_bound]. *)
-
-val max_sphere_width : Structure.t -> rho:int -> int
-(** The largest min-degree heuristic width over all elements' rho-sphere
-    substructures — the exact graphs the bounded path probes, so any
-    [width_bound >= max_sphere_width] makes every arity-1 sphere take
-    the decomposition-code path ([wmark info] surfaces it). *)
+    per-tuple recomputation — exists so tests can assert the identity). *)
 
 val index_universe :
-  ?sphere_cache:bool ->
-  ?width_bound:int ->
-  Structure.t ->
-  rho:int ->
-  arity:int ->
-  index
+  ?sphere_cache:bool -> Structure.t -> rho:int -> arity:int -> index
 (** Types all of U^arity, enumerated in a streaming fashion (no
     [n^arity] cons-list is ever materialized). *)
 
@@ -106,7 +57,6 @@ val affected_elements :
 
 val reindex :
   ?threshold:float ->
-  ?width_bound:int ->
   old:Structure.t ->
   Structure.t ->
   prev:index ->

@@ -15,8 +15,8 @@
 
    Every observable behavior (ascending iteration order, error
    messages, [equal]) is bit-identical to the frozen pre-flat
-   implementation [Relation_ref]; test/test_flatcore.ml enforces this
-   on random op sequences. *)
+   implementation [Relation_ref] (test/oracles); test/test_flatcore.ml
+   enforces this on random op sequences. *)
 
 type t = {
   arity : int;

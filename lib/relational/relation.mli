@@ -5,7 +5,8 @@
     functional add/remove overlay folded back in once it grows past a
     fraction of the array.  [mem] is binary search; bulk builders and
     {!iter_flat} touch no per-tuple heap blocks.  All observable
-    behavior matches the frozen {!Relation_ref}. *)
+    behavior matches the frozen test oracle [Relation_ref]
+    (test/oracles). *)
 
 type t
 

@@ -16,7 +16,7 @@ type t
     [default] (0 unless stated otherwise).  Flat-memory representation
     (DESIGN.md 5.12): explicit entries are a sorted contiguous key
     array plus an unboxed Bigarray of weights; behavior matches the
-    frozen {!Weighted_ref}. *)
+    frozen test oracle [Weighted_ref] (test/oracles). *)
 
 val create : ?default:int -> int -> t
 (** [create arity] is the empty assignment on [arity]-tuples. *)

@@ -59,7 +59,7 @@ type shard_result = {
   sr_preps : Iso.prep array;  (* per local type: refinement prep *)
 }
 
-let index ?width_bound g gf plan ~rho params =
+let index g gf plan ~rho params =
   Obs.time t_shard_index @@ fun () ->
   let params = distinct params in
   match params with
@@ -115,11 +115,7 @@ let index ?width_bound g gf plan ~rho params =
                       (Hashtbl.find new_of_old params.(slot).(0)))
                  slots)
           in
-          (* The bounded-width dispatch applies per shard: each local
-             sphere equals its global sphere (spheres never leave a
-             component), so the width probe sees the same graphs the
-             unsharded indexer would. *)
-          let lix = Neighborhood.index ?width_bound sub ~rho local_params in
+          let lix = Neighborhood.index sub ~rho local_params in
           let lty =
             Array.map
               (fun slot ->

@@ -14,7 +14,6 @@ val plan : Gaifman.t -> plan
 val ncomps : plan -> int
 
 val index :
-  ?width_bound:int ->
   Structure.t ->
   Gaifman.t ->
   plan ->
@@ -26,11 +25,7 @@ val index :
     merged across shards by exact (certificate-filtered) neighborhood
     isomorphism, numbered by first occurrence in the global parameter
     order.  Only arity-1 parameter sets shard (higher arities may
-    straddle components); other inputs return [Error].  [width_bound]
-    is forwarded to the per-shard {!Neighborhood.index} calls (omitted:
-    the process-wide {!Neighborhood.set_width_bound} /
-    [WMARK_WIDTH_BOUND] resolution applies, so the serve path honors
-    the global knob). *)
+    straddle components); other inputs return [Error]. *)
 
 val read_weights :
   plan ->

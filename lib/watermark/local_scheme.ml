@@ -85,6 +85,8 @@ let prepare ?(options = default_options) ?qs ?gf ?ix (ws : Weighted.structure)
     Error "result arity differs from weight arity"
   else if options.epsilon <= 0. || options.epsilon > 1. then
     Error "epsilon must lie in (0, 1]"
+  else if Option.fold ~none:false ~some:(fun r -> r < 0) options.rho then
+    Error "rho must be nonnegative"
   else begin
     let qs =
       match qs with Some qs -> qs | None -> Query_system.of_relational g q

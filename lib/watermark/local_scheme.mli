@@ -48,7 +48,8 @@ val prepare :
   ?ix:Neighborhood.index -> Weighted.structure -> Query.t ->
   (t, string) result
 (** Fails (with a message) when the query is unusable, e.g. result arity
-    differs from the weight arity, or no pair survives selection.  [qs]
+    differs from the weight arity, or no pair survives selection, and on
+    an [options.rho] below 0.  [qs]
     overrides the evaluator — pass a {!Query_system.of_custom} value when
     you have a faster (but semantically identical) way to enumerate result
     sets than the generic FO evaluator; the scheme itself only consumes

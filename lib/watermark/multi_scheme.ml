@@ -93,6 +93,8 @@ let prepare ?(options = Local_scheme.default_options) (ws : Weighted.structure)
   if queries = [] then Error "no queries"
   else if check_arity ws queries then
     Error "some query's result arity differs from the weight arity"
+  else if Option.fold ~none:false ~some:(fun r -> r < 0) options.Local_scheme.rho
+  then Error "rho must be nonnegative"
   else begin
     let systems = List.map (Query_system.of_relational g) queries in
     let rhos =

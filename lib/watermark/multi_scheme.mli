@@ -26,7 +26,8 @@ type report = {
 
 val prepare :
   ?options:options -> Weighted.structure -> Query.t list -> (t, string) result
-(** All queries must share the weight arity; at least one query. *)
+(** All queries must share the weight arity; at least one query; a
+    given [options.rho] must be nonnegative. *)
 
 val update :
   t ->

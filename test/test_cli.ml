@@ -150,6 +150,43 @@ let test_cli_unknown_relation () =
         out
   | None -> ()
 
+(* A negative locality rank is the scheme's error, not a silent
+   one-type scheme. *)
+let test_cli_negative_rho () =
+  skip_or @@ fun () ->
+  let db = tmp "db6.txt" in
+  ignore (run_cli (Printf.sprintf "gen-travel --travels 12 --transports 10 --seed 6 -o %s" db));
+  match run_cli (Printf.sprintf "info %s -q \"Route(u,v)\" --rho=-1" db) with
+  | Some (code, out) ->
+      check int "exit 1" 1 code;
+      check Alcotest.string "diagnostic"
+        "wmark: prepare: rho must be nonnegative\n" out
+  | None -> ()
+
+(* --bits must be positive: a usage error, never an assertion failure
+   deeper in the library (or, at 0, an empty decoded message). *)
+let test_cli_nonpositive_bits () =
+  skip_or @@ fun () ->
+  let db = tmp "db7.txt" in
+  ignore (run_cli (Printf.sprintf "gen-travel --travels 12 --transports 10 --seed 6 -o %s" db));
+  List.iter
+    (fun bits ->
+      match
+        run_cli
+          (Printf.sprintf "detect %s %s -q \"Route(u,v)\" --bits=%d" db db bits)
+      with
+      | Some (code, out) ->
+          check bool (Printf.sprintf "--bits=%d: nonzero exit" bits) true (code <> 0);
+          check bool
+            (Printf.sprintf "--bits=%d: no assertion failure" bits)
+            false
+            (contains out "Assertion failed");
+          check bool
+            (Printf.sprintf "--bits=%d: names the option" bits)
+            true (contains out "--bits")
+      | None -> ())
+    [ -3; 0 ]
+
 let suite =
   [
     ("cli relational cycle", `Slow, test_cli_relational_cycle);
@@ -159,4 +196,6 @@ let suite =
     ("cli rejects --jobs 0", `Slow, test_cli_jobs_zero);
     ("cli update subcommand", `Slow, test_cli_update);
     ("cli rejects an unknown relation", `Slow, test_cli_unknown_relation);
+    ("cli rejects a negative rho", `Slow, test_cli_negative_rho);
+    ("cli rejects --bits <= 0", `Slow, test_cli_nonpositive_bits);
   ]

@@ -412,7 +412,7 @@ let prop_adjacency_random_terms =
       let term = Cw_term.random g ~labels:3 ~vertices in
       adjacency_matches term 3)
 
-let prop_clique_width_bound =
+let prop_label_budget =
   QCheck.Test.make ~count:30 ~name:"random terms stay within the label budget"
     QCheck.(int_range 1 300)
     (fun seed ->
@@ -468,5 +468,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_min_degree_always_valid;
     QCheck_alcotest.to_alcotest prop_min_fill_always_valid;
     QCheck_alcotest.to_alcotest prop_adjacency_random_terms;
-    QCheck_alcotest.to_alcotest prop_clique_width_bound;
+    QCheck_alcotest.to_alcotest prop_label_budget;
   ]

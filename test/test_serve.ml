@@ -495,6 +495,33 @@ let test_prepare_unknown_relation () =
   let _ = send_ok engine Protocol.Ping in
   ()
 
+(* A negative rho decodes (the protocol checks no sign) but the scheme's
+   prepare rejects it: an err response, and the engine keeps serving. *)
+let test_prepare_negative_rho () =
+  let engine = Engine.create () in
+  let _ = send_ok engine (Protocol.Gen { id = "d"; n = 40; seed = 3 }) in
+  List.iter
+    (fun shard ->
+      let r =
+        send engine
+          (Protocol.Prepare
+             {
+               id = "d";
+               seed = 11;
+               rho = Some (-1);
+               epsilon = 1.0;
+               shard;
+               qspec = Protocol.Identity;
+             })
+      in
+      check bool
+        (Printf.sprintf "shard %b: rho -1 is err" shard)
+        true
+        (r.Protocol.status = `Err "rho must be nonnegative");
+      let _ = send_ok engine Protocol.Ping in
+      ())
+    [ false; true ]
+
 let suite =
   [
     ("protocol request round-trip", `Quick, test_request_roundtrip);
@@ -511,4 +538,5 @@ let suite =
     ("sharded detect = unsharded (qcheck)", `Quick, test_shard_detect_equals_unsharded);
     ("engine sharded prepare matches", `Quick, test_engine_sharded_prepare_matches);
     ("prepare over an unknown relation is err", `Quick, test_prepare_unknown_relation);
+    ("prepare with a negative rho is err", `Quick, test_prepare_negative_rho);
   ]
