@@ -103,15 +103,18 @@ let out_term =
   let doc = "Output file." in
   Arg.(required & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE" ~doc)
 
-let bits_term =
-  let positive =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n > 0 -> Ok n
-      | _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
+(* An int converter that rejects values failing [ok] as a usage error
+   (exit 124), saying the value is not [what]. *)
+let checked_int ~what ok =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when ok n -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
   in
+  Arg.conv (parse, Format.pp_print_int)
+
+let bits_term =
+  let positive = checked_int ~what:"a positive integer" (fun n -> n > 0) in
   let doc = "Message length in bits (positive)." in
   Arg.(required & opt (some positive) None & info [ "bits" ] ~docv:"N" ~doc)
 
@@ -278,17 +281,9 @@ let update_cmd =
     let edited, dirty = Structure.apply_edits ws.Weighted.graph edits in
     let n' = Structure.size edited in
     (* weights of removed elements disappear with them *)
-    let weights' =
-      List.fold_left
-        (fun w (t, v) ->
-          if Array.for_all (fun x -> x >= 0 && x < n') t then Weighted.set w t v
-          else w)
-        (Weighted.create
-           ~default:(Weighted.default ws.Weighted.weights)
-           (Weighted.arity ws.Weighted.weights))
-        (Weighted.bindings ws.Weighted.weights)
+    let ws' =
+      Weighted.make edited (Weighted.restrict ws.Weighted.weights ~size:n')
     in
-    let ws' = Weighted.make edited weights' in
     match Local_scheme.update scheme ~old:ws ws' q ~dirty with
     | Error e -> failwith ("update: " ^ e)
     | Ok scheme' ->
@@ -891,9 +886,10 @@ let block_term =
   let doc =
     "Block size for the tree scheme (default 2m, m = automaton states).  \
      Smaller blocks raise capacity; the distortion certificate is \
-     unaffected, only the chance of finding behavioral twins."
+     unaffected, only the chance of finding behavioral twins.  At least 2."
   in
-  Arg.(value & opt (some int) None & info [ "block" ] ~docv:"N" ~doc)
+  let at_least_2 = checked_int ~what:"an integer >= 2" (fun n -> n >= 2) in
+  Arg.(value & opt (some at_least_2) None & info [ "block" ] ~docv:"N" ~doc)
 
 let load_xml path =
   let ic = open_in path in

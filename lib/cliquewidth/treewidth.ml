@@ -1,12 +1,10 @@
 module Iset = Set.Make (Int)
+module Obs = Wm_obs.Obs
 
 type t = { bags : int list array; edges : (int * int) list }
 
-(* The elimination engine lives in Wm_relational.Tdecomp, next to the
-   Gaifman graphs it decomposes; this module keeps the structure-level
-   API and the exact validity checker. *)
-let of_decomp (d : Tdecomp.t) =
-  { bags = Array.map Array.to_list d.Tdecomp.bags; edges = d.Tdecomp.edges }
+let t_eliminate = Obs.timer "tw.eliminate"
+let c_key_updates = Obs.counter "tw.key_updates"
 
 let width t =
   Array.fold_left (fun acc bag -> max acc (List.length bag - 1)) 0 t.bags
@@ -109,15 +107,63 @@ let validate g t =
     end
   end
 
+(* Min-degree elimination.  The alive vertices wait in a priority set
+   keyed on (degree, id), packed into one int as degree * n + id, so its
+   minimum is the lowest-id vertex of least degree.  Eliminating v turns
+   its neighborhood into a clique and drops v: only the neighbors'
+   degrees change, so only they get new keys.  The bag of step s is v's
+   elimination clique; it attaches to the bag of its earliest-eliminated
+   other member, and a component's last bag (a singleton) attaches to
+   the final bag, so the bag graph is one tree even on disconnected
+   inputs. *)
+let eliminate gf =
+  let n = Gaifman.size gf in
+  let adj =
+    Array.init n (fun v ->
+        let s = ref Iset.empty in
+        Gaifman.iter_neighbors gf v (fun w -> s := Iset.add w !s);
+        !s)
+  in
+  let deg = Array.map Iset.cardinal adj in
+  let key v = (deg.(v) * n) + v in
+  let queue = ref Iset.empty in
+  for v = 0 to n - 1 do
+    queue := Iset.add (key v) !queue
+  done;
+  let order = Array.make n 0 and step_of = Array.make n 0 in
+  let bags = Array.make n [] in
+  for step = 0 to n - 1 do
+    let k = Iset.min_elt !queue in
+    queue := Iset.remove k !queue;
+    let v = k mod n in
+    let nv = adj.(v) in
+    order.(step) <- v;
+    step_of.(v) <- step;
+    bags.(step) <- Iset.elements (Iset.add v nv);
+    Iset.iter
+      (fun a ->
+        queue := Iset.remove (key a) !queue;
+        adj.(a) <- Iset.remove v (Iset.remove a (Iset.union adj.(a) nv));
+        deg.(a) <- Iset.cardinal adj.(a);
+        queue := Iset.add (key a) !queue)
+      nv;
+    Obs.add c_key_updates deg.(v)
+  done;
+  let edges = ref [] in
+  for s = 0 to n - 1 do
+    match bags.(s) with
+    | [ _ ] -> if s < n - 1 then edges := (s, n - 1) :: !edges
+    | bag ->
+        let next =
+          List.fold_left
+            (fun m u -> if u = order.(s) then m else min m step_of.(u))
+            max_int bag
+        in
+        edges := (s, next) :: !edges
+  done;
+  { bags; edges = !edges }
+
 let by_min_degree g =
-  of_decomp
-    (Tdecomp.eliminate ~heuristic:Tdecomp.Min_degree (Gaifman.of_structure g))
-
-let by_min_fill g =
-  of_decomp
-    (Tdecomp.eliminate ~heuristic:Tdecomp.Min_fill (Gaifman.of_structure g))
-
-let of_sphere ?(heuristic = Tdecomp.Min_degree) gf =
-  of_decomp (Tdecomp.eliminate ~heuristic gf)
+  Obs.time t_eliminate (fun () -> eliminate (Gaifman.of_structure g))
 
 let heuristic_width g = width (by_min_degree g)

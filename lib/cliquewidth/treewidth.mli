@@ -3,9 +3,10 @@
     Theorem 4's last step: "structures with tree-width k have clique-width
     at most 2^k, and the previous remark applies."  This module supplies
     the tree-width side: decomposition values with an exact validity
-    checker, a classical elimination-ordering heuristic that produces valid
-    decompositions (an upper bound on the true width), and exact widths for
-    the families the experiments use.  Together with
+    checker and the min-degree elimination heuristic, which produces valid
+    decompositions (an upper bound on the true width, exact on trees,
+    rings and other chordal-ish families the experiments use).  It is the
+    only tree-decomposition code in the system.  Together with
     {!Cw_term.of_tree_graph} (trees have clique-width <= 3) it grounds the
     tree-width column of the E3 table in computed objects rather than
     formulas. *)
@@ -26,23 +27,17 @@ val validate : Structure.t -> t -> (unit, string) result
 
 val by_min_degree : Structure.t -> t
 (** The min-degree elimination heuristic: repeatedly eliminate a
-    minimum-degree vertex, turning its neighborhood into a clique; bags are
-    the elimination cliques, glued in elimination order (one tree, even on
-    disconnected structures).  Always valid (checked by the tests); the
-    width is an upper bound on the true tree-width, exact on chordal
-    graphs.  Delegates to {!Tdecomp.eliminate}. *)
-
-val by_min_fill : Structure.t -> t
-(** The min-fill elimination heuristic: eliminate the vertex whose
-    neighborhood needs the fewest fill edges to become a clique (degree,
-    then lowest id, as tie-breaks).  Often tighter than min-degree on
-    near-chordal graphs; same validity guarantees. *)
-
-val of_sphere : ?heuristic:Tdecomp.heuristic -> Gaifman.t -> t
-(** Decompose a caller-provided (sub-)Gaifman graph — e.g. the CSR
-    sphere graph the neighborhood fast-path context already built —
-    without re-deriving adjacency from a structure.  [heuristic]
-    defaults to [Min_degree]. *)
+    minimum-degree vertex (lowest id on ties), turning its neighborhood
+    into a clique; bags are the elimination cliques, glued in elimination
+    order (one tree, even on disconnected structures).  Always valid
+    (checked by the tests); the width is an upper bound on the true
+    tree-width, exact on chordal graphs.  The next vertex comes from a
+    priority set keyed on (degree, id) and only the eliminated vertex's
+    neighbors are re-keyed, so choosing vertices costs O(log n) per
+    re-key instead of a rescan of every alive vertex per step; the rest
+    is the fill work of building the cliques.  Timed by the Obs timer
+    [tw.eliminate]; counter [tw.key_updates] counts the re-keyed
+    neighbors. *)
 
 val heuristic_width : Structure.t -> int
 (** [width (by_min_degree g)]. *)

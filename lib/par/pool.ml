@@ -232,10 +232,4 @@ let parallel_mapi f a =
 
 let parallel_map f a = parallel_mapi (fun _ x -> f x) a
 
-let parallel_reduce ~map ~combine ~init a =
-  (* map in parallel, fold sequentially in index order: bit-identical to
-     [Array.fold_left (fun acc x -> combine acc (map x)) init a] without
-     requiring [combine] to be associative. *)
-  Array.fold_left combine init (parallel_map map a)
-
 let map_list f l = Array.to_list (parallel_map f (Array.of_list l))

@@ -8,12 +8,10 @@
     {b Determinism.}  For every combinator, the result is bit-identical
     to the plain sequential loop, for every job count.  [parallel_map]
     and [parallel_mapi] write each slot of the output exactly where the
-    sequential [Array.map] would; [parallel_reduce] evaluates the [map]
-    step in parallel but folds [combine] over the mapped values strictly
-    in index order, so [combine] needs no associativity or
-    commutativity.  At one job the pool is bypassed entirely and the
-    ordinary sequential code runs — it is the reference semantics, and
-    larger job counts are only allowed to be faster, never different.
+    sequential [Array.map] would, and [map_list] keeps list order.  At
+    one job the pool is bypassed entirely and the ordinary sequential
+    code runs — it is the reference semantics, and larger job counts
+    are only allowed to be faster, never different.
 
     {b One job count per process.}  No combinator takes a job count:
     every one reads {!jobs}, resolved in priority order from
@@ -55,18 +53,6 @@ val parallel_map : ('a -> 'b) -> 'a array -> 'b array
 
 val parallel_mapi : (int -> 'a -> 'b) -> 'a array -> 'b array
 (** [Array.mapi] under the same contract. *)
-
-val parallel_reduce :
-  map:('a -> 'b) ->
-  combine:('acc -> 'b -> 'acc) ->
-  init:'acc ->
-  'a array ->
-  'acc
-(** [parallel_reduce ~map ~combine ~init a] equals
-    [Array.fold_left (fun acc x -> combine acc (map x)) init a]:
-    the [map] stage runs on the pool, the fold is sequential in index
-    order, so the result is independent of the job count even for
-    non-associative [combine]. *)
 
 val map_list : ('a -> 'b) -> 'a list -> 'b list
 (** [List.map] via {!parallel_map}; order preserved. *)

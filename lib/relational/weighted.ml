@@ -251,6 +251,12 @@ let bindings w =
 
 let support w = List.map fst (bindings w)
 
+let restrict w ~size =
+  of_list ~default:w.default w.arity
+    (List.filter
+       (fun (t, _) -> Array.for_all (fun x -> x >= 0 && x < size) t)
+       (bindings w))
+
 let add_delta w t d = set w t (get w t + d)
 
 (* Bulk mark application: net delta per tuple, then one merged rebuild

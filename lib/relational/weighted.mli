@@ -49,6 +49,11 @@ val iter_bindings_flat : (int array -> int -> int -> unit) -> t -> unit
 val support : t -> Tuple.t list
 (** Tuples with an explicit entry. *)
 
+val restrict : t -> size:int -> t
+(** [restrict w ~size] keeps the explicit entries all of whose elements
+    lie in [0 .. size - 1] — the weights that survive an edit shrinking
+    the universe to [size] elements — with the same default. *)
+
 val add_delta : t -> Tuple.t -> int -> t
 (** [add_delta w t d] adds [d] to the weight of [t]. *)
 

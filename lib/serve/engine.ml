@@ -136,17 +136,6 @@ let put_structure t ~op id ws =
   | Error m -> err m
   | Ok () -> ok op (dataset_fields ds)
 
-(* Mirror [wmark update]'s weight carry-over: entries all of whose
-   elements survive in the edited universe keep their value. *)
-let carry_weights n' w =
-  List.fold_left
-    (fun acc (tup, v) ->
-      if Array.for_all (fun x -> x >= 0 && x < n') tup then
-        Weighted.set acc tup v
-      else acc)
-    (Weighted.create ~default:(Weighted.default w) (Weighted.arity w))
-    (Weighted.bindings w)
-
 (* --- dispatch -------------------------------------------------------- *)
 
 let rec dispatch t (req : Protocol.req) =
@@ -346,9 +335,10 @@ let rec dispatch t (req : Protocol.req) =
             | Ok (g', dirty) -> (
                 let n' = Structure.size g' in
                 let base =
-                  Weighted.make g' (carry_weights n' ds.base.Weighted.weights)
+                  Weighted.make g'
+                    (Weighted.restrict ds.base.Weighted.weights ~size:n')
                 in
-                let cur = carry_weights n' ds.cur in
+                let cur = Weighted.restrict ds.cur ~size:n' in
                 let gf' = Gaifman.refresh g' ~prev:ds.gf ~dirty in
                 let fields =
                   [ ("size", itoa n'); ("dirty", itoa (List.length dirty)) ]

@@ -39,6 +39,8 @@ let c_delta_calls = Obs.counter "trees.delta_calls"
 let prepare ?(options = default_options) tree query =
   if Tree_query.k query <> 1 || Tree_query.s query <> 1 then
     Error "tree scheme requires one parameter and one result pebble"
+  else if Option.fold ~none:false ~some:(fun b -> b < 2) options.block_size
+  then Error "block size must be at least 2"
   else begin
     let auto = Tree_query.automaton query in
     let alpha = Tree_query.alpha query in
@@ -52,7 +54,7 @@ let prepare ?(options = default_options) tree query =
     if nactive = 0 then Error "query has no active weighted elements"
     else begin
       let threshold =
-        match options.block_size with Some b -> max 2 b | None -> 2 * m
+        match options.block_size with Some b -> b | None -> 2 * m
       in
       let child f v = match f tree v with Some c -> c | None -> -1 in
       (* Phase 1: minimal blocks of >= threshold ungrouped active nodes.

@@ -19,7 +19,8 @@
     of the lemma when several pairs are marked at once. *)
 
 type options = {
-  block_size : int option;  (** override the 2m member threshold *)
+  block_size : int option;
+      (** override the 2m member threshold; must be at least 2 *)
   pairs_per_block : int;  (** default 1; raising it trades distortion for capacity *)
 }
 
@@ -42,7 +43,8 @@ type t
 val prepare :
   ?options:options -> Wm_trees.Btree.t -> Wm_trees.Tree_query.t ->
   (t, string) result
-(** Requires k = 1, s = 1.  Fails when no block yields a pair. *)
+(** Requires k = 1, s = 1 and a [block_size], if given, of at least 2.
+    Fails when no block yields a pair. *)
 
 val report : t -> report
 val capacity : t -> int

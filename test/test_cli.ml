@@ -187,6 +187,45 @@ let test_cli_nonpositive_bits () =
       | None -> ())
     [ -3; 0 ]
 
+(* --block below 2 is a usage error on both XML commands: no silent
+   clamp, and xml-mark writes no output file. *)
+let test_cli_block_below_two () =
+  skip_or @@ fun () ->
+  let doc = tmp "school8.xml" and marked = tmp "school8m.xml" in
+  ignore (run_cli (Printf.sprintf "gen-school --students 60 --seed 7 -o %s" doc));
+  let pattern = "-p 'school/student[firstname=$a]/exam'" in
+  List.iter
+    (fun block ->
+      if Sys.file_exists marked then Sys.remove marked;
+      (match
+         run_cli
+           (Printf.sprintf "xml-mark %s %s -m 1 --bits 1 --block=%d -o %s" doc
+              pattern block marked)
+       with
+      | Some (code, out) ->
+          check bool (Printf.sprintf "xml-mark --block=%d: nonzero exit" block)
+            true (code <> 0);
+          check bool
+            (Printf.sprintf "xml-mark --block=%d: names the option" block)
+            true (contains out "--block");
+          check bool
+            (Printf.sprintf "xml-mark --block=%d: no output file" block)
+            false (Sys.file_exists marked)
+      | None -> ());
+      match
+        run_cli
+          (Printf.sprintf "xml-detect %s %s %s --bits 1 --block=%d" doc doc
+             pattern block)
+      with
+      | Some (code, out) ->
+          check bool (Printf.sprintf "xml-detect --block=%d: nonzero exit" block)
+            true (code <> 0);
+          check bool
+            (Printf.sprintf "xml-detect --block=%d: no decoded line" block)
+            false (contains out "decoded")
+      | None -> ())
+    [ 0; -4 ]
+
 let suite =
   [
     ("cli relational cycle", `Slow, test_cli_relational_cycle);
@@ -198,4 +237,5 @@ let suite =
     ("cli rejects an unknown relation", `Slow, test_cli_unknown_relation);
     ("cli rejects a negative rho", `Slow, test_cli_negative_rho);
     ("cli rejects --bits <= 0", `Slow, test_cli_nonpositive_bits);
+    ("cli rejects --block < 2", `Slow, test_cli_block_below_two);
   ]

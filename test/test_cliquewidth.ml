@@ -236,39 +236,6 @@ let prop_min_degree_always_valid =
       let s = Structure.add_pairs (Structure.create Schema.graph n) "E" edges in
       Treewidth.validate s (Treewidth.by_min_degree s) = Ok ())
 
-let test_min_fill_families () =
-  let tree = random_tree_graph 11 20 in
-  let td = Treewidth.by_min_fill tree in
-  check bool "tree decomposition valid" true (Treewidth.validate tree td = Ok ());
-  check int "tree width 1" 1 (Treewidth.width td);
-  let rg = ring 12 in
-  let td = Treewidth.by_min_fill rg in
-  check bool "ring decomposition valid" true (Treewidth.validate rg td = Ok ());
-  check int "ring width 2" 2 (Treewidth.width td);
-  let grid = (Wm_workload.Grid.structure ~w:5 ~h:4).Weighted.graph in
-  let td = Treewidth.by_min_fill grid in
-  check bool "grid decomposition valid" true (Treewidth.validate grid td = Ok ());
-  (* min-fill never loses to min-degree on these chordal-ish families *)
-  check bool "grid width sane" true
-    (Treewidth.width td >= 4
-    && Treewidth.width td <= Treewidth.width (Treewidth.by_min_degree grid))
-
-let test_of_sphere () =
-  (* of_sphere over the caller's CSR graph = the structure-level
-     entry points, both heuristics *)
-  let g = random_tree_graph 17 14 in
-  let gf = Gaifman.of_structure g in
-  let td = Treewidth.of_sphere gf in
-  check bool "valid" true (Treewidth.validate g td = Ok ());
-  check int "min-degree agree"
-    (Treewidth.width (Treewidth.by_min_degree g))
-    (Treewidth.width td);
-  let tf = Treewidth.of_sphere ~heuristic:Tdecomp.Min_fill gf in
-  check bool "min-fill valid" true (Treewidth.validate g tf = Ok ());
-  check int "min-fill agree"
-    (Treewidth.width (Treewidth.by_min_fill g))
-    (Treewidth.width tf)
-
 let test_disconnected_decomposition () =
   (* two triangles plus two isolated elements: the decomposition must
      still be one tree over the bags and pass the full validator *)
@@ -277,27 +244,31 @@ let test_disconnected_decomposition () =
       [ (0, 1); (1, 0); (1, 2); (2, 1); (2, 0); (0, 2);
         (3, 4); (4, 3); (4, 5); (5, 4); (5, 3); (3, 5) ]
   in
-  List.iter
-    (fun (name, td) ->
-      check bool (name ^ " valid on disconnected") true
-        (Treewidth.validate s td = Ok ());
-      check int (name ^ " width 2") 2 (Treewidth.width td))
-    [ ("min-degree", Treewidth.by_min_degree s);
-      ("min-fill", Treewidth.by_min_fill s) ]
+  let td = Treewidth.by_min_degree s in
+  check bool "min-degree valid on disconnected" true
+    (Treewidth.validate s td = Ok ());
+  check int "min-degree width 2" 2 (Treewidth.width td)
 
-let prop_min_fill_always_valid =
-  QCheck.Test.make ~count:30 ~name:"min-fill decomposition is always valid"
-    QCheck.(pair (int_range 2 10) (int_range 1 500))
-    (fun (n, seed) ->
+(* The priority-set elimination against the frozen linear-scan loop
+   (test/oracles/treewidth_ref.ml): equal bags and tree edges, so the
+   same lowest-id tie-break, on random graphs from near-empty to dense
+   and from tiny to well past one machine word of vertices. *)
+let prop_min_degree_matches_ref =
+  QCheck.Test.make ~count:200 ~name:"min-degree == linear-scan reference"
+    QCheck.(triple (int_range 2 150) (int_range 0 8) (int_range 1 100_000))
+    (fun (n, density, seed) ->
       let g = Wm_util.Prng.create seed in
       let edges =
         List.concat
-          (List.init (2 * n) (fun _ ->
+          (List.init (density * n / 2) (fun _ ->
                let a = Wm_util.Prng.int g n and b = Wm_util.Prng.int g n in
                if a = b then [] else [ (a, b); (b, a) ]))
       in
       let s = Structure.add_pairs (Structure.create Schema.graph n) "E" edges in
-      Treewidth.validate s (Treewidth.by_min_fill s) = Ok ())
+      let td = Treewidth.by_min_degree s in
+      let r = Treewidth_ref.eliminate (Gaifman.of_structure s) in
+      td.Treewidth.bags = Array.map Array.to_list r.Treewidth_ref.bags
+      && td.Treewidth.edges = r.Treewidth_ref.edges)
 
 (* --- distance-2 query ----------------------------------------------- *)
 
@@ -452,8 +423,6 @@ let suite =
     ("theorem 4 scheme on a clique", `Slow, test_theorem4_scheme_on_clique);
     ("tree decompositions of families", `Quick, test_treewidth_families);
     ("decomposition validator rejects", `Quick, test_treewidth_validate_rejects);
-    ("min-fill decompositions of families", `Quick, test_min_fill_families);
-    ("of_sphere = structure entry points", `Quick, test_of_sphere);
     ("decompositions of disconnected structures", `Quick,
      test_disconnected_decomposition);
     ("trees have clique-width <= 3", `Quick, test_of_tree_graph);
@@ -466,7 +435,7 @@ let suite =
     ("automata are bit-identical", `Quick, test_automaton_digests);
     QCheck_alcotest.to_alcotest prop_distance2_random_terms;
     QCheck_alcotest.to_alcotest prop_min_degree_always_valid;
-    QCheck_alcotest.to_alcotest prop_min_fill_always_valid;
+    QCheck_alcotest.to_alcotest prop_min_degree_matches_ref;
     QCheck_alcotest.to_alcotest prop_adjacency_random_terms;
     QCheck_alcotest.to_alcotest prop_label_budget;
   ]

@@ -130,6 +130,25 @@ let test_block_size_raises_capacity () =
   check bool "smaller blocks give at least as many pairs" true
     (cap_with (Some 4) >= cap_with None)
 
+let test_tree_scheme_block_guard () =
+  (* A block size below 2 is an error, not silently raised to 2. *)
+  let phi = Wm_logic.Parser.mso_of_string "S1(x,y) | S2(x,y)" in
+  let compiled =
+    Wm_trees.Mso_compile.compile ~base:[| "a"; "b" |] ~free:[ "x"; "y" ] phi
+  in
+  let q = Wm_trees.Tree_query.of_compiled compiled ~params:[ "x" ] ~results:[ "y" ] in
+  let tree = Trees_gen.random_tree (Wm_util.Prng.create 5) ~alphabet:[ "a"; "b" ] ~size:60 in
+  let prepare b =
+    Tree_scheme.prepare
+      ~options:{ Tree_scheme.default_options with block_size = Some b } tree q
+  in
+  List.iter
+    (fun b ->
+      check bool (Printf.sprintf "block size %d rejected" b) true
+        (Result.is_error (prepare b)))
+    [ 1; 0; -4 ];
+  check bool "block size 2 accepted" true (Result.is_ok (prepare 2))
+
 let test_texttab_guard () =
   let t = Wm_util.Texttab.create [ "a"; "b" ] in
   check bool "too many cells" true
@@ -202,4 +221,5 @@ let suite =
     ("shatter guards", `Quick, test_shatter_guards);
     ("clique-width guards", `Quick, test_cw_guards);
     ("textio save is atomic", `Quick, test_textio_save_atomic);
+    ("tree scheme block size guard", `Quick, test_tree_scheme_block_guard);
   ]

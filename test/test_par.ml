@@ -40,23 +40,6 @@ let prop_mapi_deterministic =
           Jobs.with_jobs j (fun () -> Pool.parallel_mapi f a) = expected)
         job_counts)
 
-let prop_reduce_ordered =
-  (* A non-commutative combine establishes that the reduction runs in
-     index order regardless of which domain computed which chunk. *)
-  QCheck.Test.make ~count:50 ~name:"parallel_reduce combines in index order"
-    QCheck.(list (int_range 0 999))
-    (fun xs ->
-      let a = Array.of_list xs in
-      let map x = string_of_int x in
-      let combine acc s = acc ^ "," ^ s in
-      let expected = Array.fold_left (fun acc x -> combine acc (map x)) "" a in
-      List.for_all
-        (fun j ->
-          Jobs.with_jobs j (fun () ->
-              Pool.parallel_reduce ~map ~combine ~init:"" a)
-          = expected)
-        job_counts)
-
 let prop_map_list_order =
   QCheck.Test.make ~count:50 ~name:"map_list preserves list order"
     QCheck.(list small_int)
@@ -327,7 +310,6 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_map_deterministic;
     QCheck_alcotest.to_alcotest prop_mapi_deterministic;
-    QCheck_alcotest.to_alcotest prop_reduce_ordered;
     QCheck_alcotest.to_alcotest prop_map_list_order;
     ("nested batches do not deadlock", `Quick, test_nested_batches);
     ("set_jobs round-trip", `Quick, test_set_jobs_roundtrip);

@@ -381,6 +381,38 @@ let test_xml_prepare_linear () =
   in
   doubling "caterpillar 500 -> 1000 nodes" caterpillar 500
 
+(* Min-degree elimination (Treewidth): only the eliminated vertex's
+   neighbors get new priority keys, so on bounded-width inputs the key
+   updates at 2n stay within 2.2x those at n.  A rescan of every alive
+   vertex per step would show a ratio near 4. *)
+let test_treewidth_elimination_linear () =
+  with_stats @@ fun () ->
+  let key_updates g =
+    let before = Wm_obs.Obs.snapshot () in
+    ignore (Wm_cliquewidth.Treewidth.by_min_degree g);
+    counter_of (Wm_obs.Obs.diff ~since:before (Wm_obs.Obs.snapshot ()))
+      "tw.key_updates"
+  in
+  let doubling name at n =
+    let small = at n and large = at (2 * n) in
+    check bool
+      (Printf.sprintf "%s: %d key updates at 2n <= 2.2 x %d at n" name large small)
+      true
+      (small > 0 && float_of_int large <= 2.2 *. float_of_int small)
+  in
+  let graph n edges =
+    Structure.add_pairs (Structure.create Schema.graph n) "E"
+      (List.concat_map (fun (a, b) -> [ (a, b); (b, a) ]) edges)
+  in
+  let ring n = key_updates (graph n (List.init n (fun i -> (i, (i + 1) mod n)))) in
+  let random_tree n =
+    let g = Prng.create n in
+    key_updates
+      (graph n (List.init (n - 1) (fun i -> (i + 1, Prng.int g (i + 1)))))
+  in
+  doubling "ring 2000 -> 4000" ring 2000;
+  doubling "random tree 2000 -> 4000" random_tree 2000
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_universe_matches_ref;
@@ -397,4 +429,6 @@ let suite =
     Alcotest.test_case "fo candidates O(|R| + n)" `Quick test_fo_candidates_bounded;
     Alcotest.test_case "reader work bounded" `Quick test_reader_work_bounded;
     Alcotest.test_case "xml prepare linear" `Quick test_xml_prepare_linear;
+    Alcotest.test_case "treewidth elimination linear" `Quick
+      test_treewidth_elimination_linear;
   ]

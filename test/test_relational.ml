@@ -63,6 +63,39 @@ let test_weighted_distortion () =
   check bool "1-local" true (Weighted.is_local_distortion ~c:1 w w');
   check bool "not 0-local" false (Weighted.is_local_distortion ~c:0 w w')
 
+let test_weighted_restrict () =
+  (* A shrinking edit: removing the last two elements drops every weight
+     entry that mentions them and keeps the rest with their values and
+     the default. *)
+  let g =
+    Structure.add_pairs (Structure.create Schema.graph 5) "E"
+      [ (0, 1); (1, 2); (2, 3); (3, 4) ]
+  in
+  let g', _ =
+    Structure.apply_edits g
+      [ Structure.Delete_tuple ("E", Tuple.pair 3 4);
+        Structure.Delete_tuple ("E", Tuple.pair 2 3);
+        Structure.Remove_element 4; Structure.Remove_element 3 ]
+  in
+  let size = Structure.size g' in
+  check int "universe shrinks to 3" 3 size;
+  let w = Weighted.of_list ~default:9 1 (List.init 5 (fun i -> (Tuple.singleton i, 10 + i))) in
+  let w = Weighted.set w (Tuple.singleton 1) 42 in
+  let r = Weighted.restrict w ~size in
+  check int "default kept" 9 (Weighted.default r);
+  check (list (Alcotest.pair (array int) int)) "surviving entries"
+    [ ([| 0 |], 10); ([| 1 |], 42); ([| 2 |], 12) ]
+    (Weighted.bindings r);
+  check int "removed element falls back to default" 9 (Weighted.get_elt r 3);
+  ignore (Weighted.make g' r);
+  let w2 =
+    Weighted.of_list 2
+      [ (Tuple.pair 0 2, 1); (Tuple.pair 2 3, 2); (Tuple.pair 4 0, 3) ]
+  in
+  check (list (Alcotest.pair (array int) int)) "pairs with a removed element dropped"
+    [ ([| 0; 2 |], 1) ]
+    (Weighted.bindings (Weighted.restrict w2 ~size))
+
 let test_gaifman_figure1 () =
   let gf = Gaifman.of_structure figg in
   check (list int) "neighbors of a" [ 3; 4 ] (Gaifman.neighbors gf 0);
@@ -277,4 +310,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_iso_implies_certificate;
     QCheck_alcotest.to_alcotest prop_types_refine_satisfaction;
     QCheck_alcotest.to_alcotest prop_sphere_monotone;
+    ("weighted restrict after shrink", `Quick, test_weighted_restrict);
   ]
